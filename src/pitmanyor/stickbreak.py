@@ -6,6 +6,10 @@ walk the realized prefix sums and extend the stick sequence on demand, so
 finite-dimensional samples are exact: there is no truncation level and hence
 no truncation bias.
 
+Every beta and gamma variate comes from numpy's ``Generator`` (``beta`` and
+``standard_gamma``), so a seed maps to one stream whatever optional packages
+are importable.
+
 The tail work is genuinely heavy for d >= 1/2: the stick index of a single
 observation has survival ~ L^(-(1-d)/d), so its expected value is infinite
 and occasional draws need enormous extensions.  The scalar sampler keeps the
@@ -17,15 +21,9 @@ matter which far stick it is, so stopping there is exact for the induced
 partition while squaring the tail exponent of the per-trial work.
 """
 
-import math
 from bisect import bisect_right
 
 import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is optional
-    numba = None
 
 from .constants import PARTITION_STICK_CAP, STICK_CAP
 from .core import Partition, PYParams, partition_from_allocations
@@ -72,64 +70,25 @@ class StickState:
         return self._prefix[-1] if self._prefix else 0.0
 
 
-def _gamma_rejection(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Marsaglia-Tsang rejection for elementwise shapes >= 1 (squeeze-free)."""
-    d = shapes - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(shapes.shape)
-    todo = np.arange(shapes.size)
-    while todo.size:
-        x = rng.standard_normal(todo.size)
-        v = (1.0 + c[todo] * x) ** 3
-        u = rng.random(todo.size)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            accept = (v > 0.0) & (
-                np.log(u) < 0.5 * x * x + d[todo] * (1.0 - v + np.log(v))
-            )
-        hit = todo[accept]
-        out[hit] = d[hit] * v[accept]
-        todo = todo[~accept]
-    return out
-
-
-def _standard_gamma(shapes, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Gamma(shape, 1) draws; scalar shape broadcast over `size`, or one draw
-    per entry of an array shape.  Shapes below one are boosted: draw at
-    shape+1 and multiply by u^(1/shape)."""
-    if np.isscalar(shapes):
-        shapes = np.full(1 if size is None else int(size), float(shapes))
-    else:
-        shapes = np.asarray(shapes, dtype=float)
-    small = shapes < 1.0
-    out = _gamma_rejection(np.where(small, shapes + 1.0, shapes), rng)
-    if small.any():
-        u = rng.random(int(small.sum()))
-        out[small] *= u ** (1.0 / shapes[small])
-    return out
-
-
 def gamma_sample(shape: float, rng: np.random.Generator, size: int | None = None):
-    """Gamma(shape, 1) variates via rejection sampling; scalar when size is None."""
+    """Gamma(shape, 1) variates from ``rng.standard_gamma``; scalar when size is None."""
     if not shape > 0.0:
         raise ValueError(f"gamma shape must be positive, got {shape}")
-    out = _standard_gamma(float(shape), rng, 1 if size is None else int(size))
-    return float(out[0]) if size is None else out
+    out = rng.standard_gamma(shape, size)
+    return float(out) if size is None else out
 
 
 def beta_sample(a: float, b: float, rng: np.random.Generator, size: int | None = None):
-    """Beta(a, b) variates as g1 / (g1 + g2) from two gamma draws.
+    """Beta(a, b) variates from ``rng.beta``; scalar when size is None.
 
-    The gamma-ratio construction is used instead of inversion because the
-    first shape is 1 - d < 1 whenever d > 0, and the shape-boost handles
-    sub-one shapes robustly.
+    ``Generator.beta`` switches to log space when both shapes are at most
+    one, so tiny shapes such as the first stick's (1 - d, alpha + d) near
+    d = 1, alpha = -d give no 0/0 NaNs.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
-    m = 1 if size is None else int(size)
-    g1 = _standard_gamma(float(a), rng, m)
-    g2 = _standard_gamma(float(b), rng, m)
-    out = g1 / (g1 + g2)
-    return float(out[0]) if size is None else out
+    out = rng.beta(a, b, size)
+    return float(out) if size is None else out
 
 
 def extend_sticks(params: PYParams, state: StickState, rng: np.random.Generator) -> StickState:
@@ -197,44 +156,13 @@ def _extend_block(
     """Draw `width` more sticks for each of n_rows rows (all rows share the
     same global stick positions realized+1 .. realized+width).  Returns the
     rows' new prefix-sum block and their updated residual and coverage."""
-    a = 1.0 - params.d
     b_row = params.alpha + params.d * np.arange(realized + 1, realized + width + 1)
-    g1 = _standard_gamma(a, rng, n_rows * width).reshape(n_rows, width)
-    g2 = _standard_gamma(np.broadcast_to(b_row, (n_rows, width)).ravel(), rng)
-    v = g1 / (g1 + g2.reshape(n_rows, width))
+    v = rng.beta(1.0 - params.d, b_row, size=(n_rows, width))
     keep = np.cumprod(1.0 - v, axis=1)
     # prefix sums telescope: sum of the chunk's weights up to column c equals
     # residual * (1 - prod_{c' <= c} (1 - v))
     prefix = coverage[:, None] + residual[:, None] * (1.0 - keep)
     return prefix, residual * keep[:, -1], prefix[:, -1]
-
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _walk_rows_jit(alpha, d, targets, stops, seed, stick_cap):  # pragma: no cover
-        np.random.seed(seed)
-        trials, n = targets.shape
-        z = np.full((trials, n), -1, np.int64)
-        for r in range(trials):
-            coverage = 0.0
-            residual = 1.0
-            i = 0
-            while coverage <= stops[r]:
-                if i >= stick_cap:
-                    raise RuntimeError("stick extension exceeded the cap")
-                i += 1
-                g1 = np.random.standard_gamma(1.0 - d)
-                g2 = np.random.standard_gamma(alpha + d * i)
-                coverage += g1 / (g1 + g2) * residual
-                residual *= g2 / (g1 + g2)
-                for j in range(n):
-                    if z[r, j] < 0 and targets[r, j] <= coverage:
-                        z[r, j] = i
-            for j in range(n):
-                if z[r, j] < 0:
-                    z[r, j] = i + 1
-        return z
 
 
 def _vectorized_batch(params, n, targets, stops, rng, stick_cap):
@@ -244,7 +172,7 @@ def _vectorized_batch(params, n, targets, stops, rng, stick_cap):
     residual = np.ones(trials)
     coverage = np.zeros(trials)
     realized = 0
-    width = 16
+    width = 4
     while active.size:
         if realized >= stick_cap:
             raise RuntimeError(
@@ -273,23 +201,17 @@ def _lazy_batch(params, n, trials, rng, partition_mode, stick_cap):
     In partition mode the stop target is the row's second-largest draw, so an
     observation can be left uncovered; it gets the first unrealized index.
 
-    The per-row walk runs in a compiled kernel when numba is installed (its
-    rejection-sampled gammas feed the same g1/(g1+g2) construction), falling
-    back to a vectorized active-set sweep otherwise.  Both are exact; draws
-    come deterministically from `rng` either way (the kernel is seeded from
-    it), though the two backends realize different streams.
+    The walk is a vectorized active-set sweep: unfinished rows draw their
+    next chunk of sticks together, in chunks that double from four columns.
     """
     targets = rng.random((trials, n))
     if partition_mode:
         if n == 1:
             stops = np.full(trials, -np.inf)
         else:
-            stops = np.ascontiguousarray(np.sort(targets, axis=1)[:, -2])
+            stops = np.sort(targets, axis=1)[:, -2]
     else:
         stops = targets.max(axis=1)
-    if numba is not None:
-        seed = int(rng.integers(0, 2**32 - 1))
-        return _walk_rows_jit(params.alpha, params.d, targets, stops, seed, stick_cap)
     return _vectorized_batch(params, n, targets, stops, rng, stick_cap)
 
 

@@ -1,10 +1,14 @@
+import importlib
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import pitmanyor.stickbreak as sb
+from pitmanyor.constants import MC_SIGMA
 from pitmanyor.core import Partition, PYParams
 from pitmanyor.stickbreak import (
     StickState,
@@ -68,6 +72,18 @@ class TestBetaSampler:
         rng = np.random.default_rng(104)
         draws = beta_sample(0.1, 20.0, rng, size=100_000)
         assert draws.min() > 0.0 and draws.max() < 1.0
+
+    def test_tiny_shapes_give_no_nan(self):
+        # first-stick shapes (1 - d, alpha + d) at d = 0.999, alpha = -d + 1e-9:
+        # both gammas of a g1 / (g1 + g2) ratio underflow to 0 there
+        a, b = 0.001, 1e-9
+        draws = beta_sample(a, b, np.random.default_rng(105), size=100_000)
+        assert not np.isnan(draws).any()
+        assert draws.min() >= 0.0 and draws.max() <= 1.0
+        # the sample can be constant, so the standard error is the law's
+        mean = a / (a + b)
+        se = math.sqrt(mean * (1 - mean) / (a + b + 1) / draws.size)
+        assert abs(draws.mean() - mean) <= MC_SIGMA * se
 
 
 class TestStickState:
@@ -207,6 +223,23 @@ class TestPartitionModeBatch:
         a = sample_partition_labels_batch(params, 4, 5000, np.random.default_rng(77))
         b = sample_partition_labels_batch(params, 4, 5000, np.random.default_rng(77))
         assert (a == b).all()
+
+    def test_stream_ignores_optional_numba(self, monkeypatch):
+        def njit(*args, **kwargs):
+            raise AssertionError("the stick engine must not compile with numba")
+
+        params = PYParams(1.0, 0.5)
+        want = sample_partition_labels_batch(params, 4, 5000, np.random.default_rng(78))
+        stub = types.ModuleType("numba")
+        stub.njit = njit
+        monkeypatch.setitem(sys.modules, "numba", stub)
+        try:
+            importlib.reload(sb)
+            got = sb.sample_partition_labels_batch(params, 4, 5000, np.random.default_rng(78))
+        finally:
+            monkeypatch.undo()
+            importlib.reload(sb)
+        assert (got == want).all()
 
 
 class TestStickbreakPartition:
