@@ -74,65 +74,66 @@ class EmpiricalPartitionDist:
         return self.counts.get(partition, 0) / self.trials
 
 
-def _canonical_label_rows(z: np.ndarray) -> np.ndarray:
-    """Relabel each row by first appearance (restricted growth form)."""
-    trials, n = z.shape
-    out = np.zeros_like(z)
-    rows = np.arange(trials)
-    for j in range(1, n):
-        earlier = z[:, :j]
-        match = earlier == z[:, j : j + 1]
-        seen = match.any(axis=1)
-        first = match.argmax(axis=1)
-        high = out[:, :j].max(axis=1)
-        out[:, j] = np.where(seen, out[rows, first], high + 1)
-    return out
+def _partition_codes(z: np.ndarray) -> np.ndarray:
+    """One int64 per row of a label matrix, equal for two rows exactly when
+    they give the same partition.
+
+    Column j of a row contributes first[j], the first column holding the
+    label of column j, as the j-th base-n digit (most significant first).
+    Label values never enter, so any labels work, and the codes sort like
+    the rows' restricted growth strings.  n <= 10 keeps them below 10^10.
+    """
+    n = z.shape[1]
+    first = (z[:, :, None] == z[:, None, :]).argmax(axis=2)
+    return first @ n ** np.arange(n - 1, -1, -1)
 
 
-def _batch_plan(trials: int, seed: int):
+def _code_partitions(codes: np.ndarray, n: int) -> list[Partition]:
+    """Partitions of [n] for codes from `_partition_codes`: the digits of a
+    code are an allocation vector of its partition."""
+    digits = codes[:, None] // n ** np.arange(n - 1, -1, -1) % n + 1
+    return [partition_from_allocations(row) for row in digits.tolist()]
+
+
+def _batch_jobs(params, n, trials, sampler, seed):
+    """One job per batch of the plan, each with its own spawned stream."""
+    if sampler not in SAMPLERS:
+        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
+    if n > MAX_NORMALIZATION_N:
+        raise ValueError(f"n must be at most {MAX_NORMALIZATION_N}, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_batches = -(-trials // BATCH_TRIALS)
     children = np.random.SeedSequence(seed).spawn(n_batches)
     sizes = [BATCH_TRIALS] * (n_batches - 1)
     sizes.append(trials - BATCH_TRIALS * (n_batches - 1))
-    return list(zip(children, sizes))
+    return [(params, n, size, sampler, child) for child, size in zip(children, sizes)]
 
 
-def _batch_labels(params, n, size, sampler, child):
-    """Canonical 0-based label matrix for one batch stream."""
+def _batch_codes(job) -> np.ndarray:
+    """Partition codes of one batch, sampled from the batch's own stream."""
+    params, n, size, sampler, child = job
     rng = np.random.default_rng(child)
     if sampler == "stick":
-        return _canonical_label_rows(sample_partition_labels_batch(params, n, size, rng))
-    return sample_label_matrix(params, n, size, rng)
+        labels = sample_partition_labels_batch(params, n, size, rng)
+    else:
+        labels = sample_label_matrix(params, n, size, rng)
+    return _partition_codes(labels)
 
 
-def _batch_tally(args):
-    params, n, size, sampler, child = args
-    labels = _batch_labels(params, n, size, sampler, child)
-    rows, counts = np.unique(labels, axis=0, return_counts=True)
-    return [(tuple(int(v) for v in row), int(c)) for row, c in zip(rows, counts)]
-
-
-def _label_batches(params, n, trials, sampler, seed):
-    """Yield canonical 0-based label matrices, one per spawned batch stream."""
-    if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
-    for child, size in _batch_plan(trials, seed):
-        yield _batch_labels(params, n, size, sampler, child)
+def _batch_tally(job):
+    return np.unique(_batch_codes(job), return_counts=True)
 
 
 def sample_partitions(
     params: PYParams, n: int, trials: int, sampler: str, seed: int
 ) -> list[Partition]:
     """Sampled partitions in sampling order; deterministic for a given seed."""
-    if n > MAX_NORMALIZATION_N:
-        raise ValueError(f"n must be at most {MAX_NORMALIZATION_N}, got {n}")
     out: list[Partition] = []
-    for labels in _label_batches(params, n, trials, sampler, seed):
-        rows, inverse = np.unique(labels, axis=0, return_inverse=True)
-        parts = [partition_from_allocations([int(v) + 1 for v in row]) for row in rows]
-        out.extend(parts[i] for i in np.ravel(inverse))
+    for job in _batch_jobs(params, n, trials, sampler, seed):
+        codes, inverse = np.unique(_batch_codes(job), return_inverse=True)
+        parts = _code_partitions(codes, n)
+        out.extend(parts[i] for i in inverse.tolist())
     return out
 
 
@@ -140,35 +141,24 @@ def run_monte_carlo(
     params: PYParams, n: int, trials: int, sampler: str, seed: int, workers: int | None = None
 ) -> EmpiricalPartitionDist:
     """Tabulate sampled partitions of [n]; n is capped so the frequency table
-    stays comparable against exhaustive enumeration.
+    stays comparable against exhaustive enumeration.  Keys come in the order
+    of their restricted growth strings.
 
     Batches are distributed over a process pool (`workers` defaults to the
     CPU count).  Each batch depends only on its own spawned stream and merge
     order is fixed, so the result is identical however batches are scheduled.
     """
-    if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
-    if n > MAX_NORMALIZATION_N:
-        raise ValueError(
-            f"n must be at most {MAX_NORMALIZATION_N} for exact comparison, got {n}"
-        )
-    plan = _batch_plan(trials, seed)
-    jobs = [(params, n, size, sampler, child) for child, size in plan]
+    jobs = _batch_jobs(params, n, trials, sampler, seed)
     if workers is None:
         workers = min(os.cpu_count() or 1, len(jobs))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batch_tallies = list(pool.map(_batch_tally, jobs))
+            tallies = list(pool.map(_batch_tally, jobs))
     else:
-        batch_tallies = [_batch_tally(job) for job in jobs]
-    tally: dict[tuple, int] = {}
-    for part in batch_tallies:
-        for key, count in part:
-            tally[key] = tally.get(key, 0) + count
-    counts = {
-        partition_from_allocations([v + 1 for v in key]): count
-        for key, count in sorted(tally.items())
-    }
+        tallies = [_batch_tally(job) for job in jobs]
+    codes, inverse = np.unique(np.concatenate([c for c, _ in tallies]), return_inverse=True)
+    totals = np.bincount(inverse, weights=np.concatenate([k for _, k in tallies]))
+    counts = dict(zip(_code_partitions(codes, n), totals.astype(np.int64).tolist()))
     return EmpiricalPartitionDist(counts, trials, seed, params, sampler, n)
 
 

@@ -21,6 +21,7 @@ README for the full analysis.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,8 @@ THEOREM_CONFIGS = ((1.0, 0.5), (0.3, 0.7), (5.0, 0.1), (1.0, 0.0))
 DP_LIMIT_ALPHAS = (0.5, 1.0, 5.0)
 
 # label-gap truncation at which the label-sum bridge demonstrably meets the
-# 1e-4 target (its error decays like 1/max_label; see module docstring)
+# 1e-4 target at d <= 0.5 (its error decays like max_label^(-(1-d)/d); see
+# module docstring)
 BRIDGE_CONVERGED_LABELS = 100_000
 
 LEMMA_D_GRID = (
@@ -167,47 +169,28 @@ def _tv_bound(trials: int) -> float:
     return constants.TV_BOUND * math.sqrt(constants.TV_TRIALS / trials)
 
 
-def check_stick_law_tv(alpha=None, d=None, trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED, **_):
+# each sampler's TV check draws from its own block of seeds
+_TV_SEED_OFFSETS = {"stick": 0, "crp": 100}
+
+
+def check_sampler_law_tv(sampler, alpha=None, d=None, trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED, **_):
     configs = THEOREM_CONFIGS if alpha is None else ((alpha, d),)
     bound = _tv_bound(trials)
     out = []
     for idx, (a, dd) in enumerate(configs):
         params = PYParams(a, dd)
-        emp = run_monte_carlo(params, 4, trials, "stick", seed + idx)
+        config_seed = seed + _TV_SEED_OFFSETS[sampler] + idx
+        emp = run_monte_carlo(params, 4, trials, sampler, config_seed)
         tv = tv_distance(emp)
         out.append(
             _record(
-                "stick_sampler_total_variation",
+                f"{sampler}_sampler_total_variation",
                 tv < bound,
                 alpha=a,
                 d=dd,
                 n=4,
                 trials=trials,
-                seed=seed + idx,
-                tv=tv,
-                bound=bound,
-            )
-        )
-    return out
-
-
-def check_crp_law_tv(alpha=None, d=None, trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED, **_):
-    configs = THEOREM_CONFIGS if alpha is None else ((alpha, d),)
-    bound = _tv_bound(trials)
-    out = []
-    for idx, (a, dd) in enumerate(configs):
-        params = PYParams(a, dd)
-        emp = run_monte_carlo(params, 4, trials, "crp", seed + 100 + idx)
-        tv = tv_distance(emp)
-        out.append(
-            _record(
-                "crp_sampler_total_variation",
-                tv < bound,
-                alpha=a,
-                d=dd,
-                n=4,
-                trials=trials,
-                seed=seed + 100 + idx,
+                seed=config_seed,
                 tv=tv,
                 bound=bound,
             )
@@ -369,9 +352,10 @@ def check_lemma_b_bridge(alpha=None, d=None, **_):
     partitions of [n] it sums to the kept mass `truncated_label_mass`.  Both
     hold exactly at every truncation, so both checks gate on them.  The
     converged check also asks the rebuilt values to reach Pr(C) itself
-    within the tolerance; at max_label 60 the omitted labels still carry
-    Theta(1/max_label) probability; each record reports the worst deficit
-    against Pr(C) and the mass omitted at n = 4.
+    within the tolerance.  The omitted labels carry probability of order
+    max_label^(-(1-d)/d): about 0.1 at max_label 60 and d = 0.5, and still
+    above the tolerance at 1e5 labels for d >= 0.7.  Each record reports
+    the worst deficit against Pr(C) and the mass omitted at n = 4.
     """
     a = 1.0 if alpha is None else alpha
     dd = 0.5 if d is None else d
@@ -553,7 +537,11 @@ def check_growth(seed=constants.DEFAULT_SEED, **_):
 
 SUITES = {
     "normalization": (check_normalization,),
-    "equivalence": (check_sequential_identity, check_dp_limit, check_stick_law_tv),
+    "equivalence": (
+        check_sequential_identity,
+        check_dp_limit,
+        partial(check_sampler_law_tv, "stick"),
+    ),
     "lemmaB": (check_lemma_b_bridge,),
     "lemmaC": (check_lemma_c,),
     "lemmaD": (check_lemma_d,),
@@ -563,7 +551,11 @@ SUITES = {
         check_allocation_truncated_normalization,
     ),
 }
-_EXTRA_ALL = (check_crp_law_tv, check_growth, check_sampling_determinism)
+_EXTRA_ALL = (
+    partial(check_sampler_law_tv, "crp"),
+    check_growth,
+    check_sampling_determinism,
+)
 
 
 def run_suite(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pitmanyor.core import Partition, PYParams
+from pitmanyor.core import Partition, PYParams, enumerate_partitions
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import (
     EmpiricalPartitionDist,
+    _code_partitions,
+    _partition_codes,
     format_partition,
     growth_experiment,
     parse_partition,
@@ -17,6 +19,15 @@ from pitmanyor.harness import (
 )
 
 P = Partition.from_blocks
+
+
+def restricted_growth(partition):
+    """0-based block index of each element, blocks in least-element order."""
+    z = [0] * partition.n
+    for b, block in enumerate(partition.blocks):
+        for e in block:
+            z[e - 1] = b
+    return tuple(z)
 
 
 class TestPartitionText:
@@ -32,6 +43,38 @@ class TestPartitionText:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_partition(text)
+
+
+class TestPartitionCodes:
+    def tally(self, z):
+        z = np.asarray(z, dtype=np.int64)
+        codes = _partition_codes(z)
+        return codes, _code_partitions(codes, z.shape[1])
+
+    def test_stick_sized_labels_need_no_relabelling(self):
+        big = 10**12
+        _, parts = self.tally([[big, big + 4, big, 3], [7, 7, 7, 7], [1, big, 2, big]])
+        assert parts == [P([[1, 3], [2], [4]]), P([[1, 2, 3, 4]]), P([[1], [2, 4], [3]])]
+
+    def test_ten_distinct_labels_give_the_largest_code(self):
+        row = [10**12 - 7 * j for j in range(10)]
+        codes, parts = self.tally([row, [3] * 10])
+        assert codes.tolist() == [123_456_789, 0]
+        assert parts == [P([[i] for i in range(1, 11)]), P([list(range(1, 11))])]
+
+    def test_single_element(self):
+        codes, parts = self.tally([[4], [10**12]])
+        assert codes.tolist() == [0, 0]
+        assert parts == [P([[1]]), P([[1]])]
+
+    def test_codes_sort_like_restricted_growth_strings(self):
+        partitions = list(enumerate_partitions(5))
+        z = np.array([restricted_growth(p) for p in partitions]) * 10**9 + 11
+        codes, parts = self.tally(z)
+        assert parts == partitions
+        assert len(set(codes.tolist())) == len(partitions)
+        by_code = [parts[i] for i in np.argsort(codes)]
+        assert by_code == sorted(partitions, key=restricted_growth)
 
 
 class TestRunMonteCarlo:
@@ -59,6 +102,13 @@ class TestRunMonteCarlo:
         se = math.sqrt(0.25 * 0.75 / emp.trials)
         assert abs(freq - 0.25) <= 3.5 * se
 
+    @pytest.mark.parametrize("sampler", ["stick", "crp"])
+    def test_keys_in_restricted_growth_order(self, sampler):
+        # the order `sample --tabulate` prints
+        emp = run_monte_carlo(PYParams(1.0, 0.5), 5, 20_000, sampler, 8)
+        keys = [restricted_growth(p) for p in emp.counts]
+        assert len(keys) > 30 and keys == sorted(keys)
+
     def test_n_cap(self):
         with pytest.raises(ValueError):
             run_monte_carlo(PYParams(1.0, 0.5), 11, 10, "stick", 0)
@@ -75,10 +125,11 @@ class TestSamplePartitions:
         assert draws_a == draws_b
         assert len(draws_a) == 500
 
-    def test_agrees_with_tabulation(self):
+    @pytest.mark.parametrize("sampler, n", [("stick", 3), ("crp", 8)])
+    def test_agrees_with_tabulation(self, sampler, n):
         params = PYParams(1.0, 0.5)
-        draws = sample_partitions(params, 3, 2000, "stick", 12)
-        emp = run_monte_carlo(params, 3, 2000, "stick", 12)
+        draws = sample_partitions(params, n, 2000, sampler, 12)
+        emp = run_monte_carlo(params, n, 2000, sampler, 12)
         counts = {}
         for partition in draws:
             counts[partition] = counts.get(partition, 0) + 1

@@ -1,5 +1,6 @@
 import pytest
 
+from pitmanyor.constants import TOL_TRUNCATED
 from pitmanyor.verify import default_parameter_grid, run_suite
 
 
@@ -62,6 +63,20 @@ class TestSuites:
         assert converged["passed"]
         assert converged["max_deficit"] <= 1e-4
         assert report["passed"]
+
+    def test_lemma_b_converged_fails_only_on_deficit_at_heavy_discount(self):
+        # documented limitation: at d = 0.7 the omitted mass decays like
+        # max_label^(-3/7), so 1e5 labels leave a deficit of about 0.02
+        report = run_suite("lemmaB", alpha=0.3, d=0.7)
+        by_name = {c["name"]: c for c in report["checks"]}
+        nominal = by_name["lemma_b_bridge_at_60"]
+        converged = by_name["lemma_b_bridge_converged"]
+        assert nominal["passed"]
+        assert not converged["passed"]
+        assert converged["below_law"]
+        assert converged["mass_error"] <= TOL_TRUNCATED
+        assert 0.01 < converged["max_deficit"] < 0.05
+        assert report["failures"] == 1
 
     def test_equivalence_small_trials(self):
         report = run_suite("equivalence", trials=40_000)
