@@ -14,14 +14,27 @@ d = 0 dispatches to the Dirichlet branch instead of relying on the limit.
 import math
 from functools import lru_cache
 
-from .core import LogProb, Partition, PYParams, enumerate_partitions, log_rising_factorial
+from .core import (
+    MAX_NORMALIZATION_N,
+    LogProb,
+    Partition,
+    PYParams,
+    _partition_table,
+    log_rising_factorial,
+)
 
 __all__ = ["eppf_log_prob", "dp_log_prob", "normalization_check", "MAX_NORMALIZATION_N"]
 
-MAX_NORMALIZATION_N = 10
+# Both law caches are keyed by (parameters, sorted block sizes).  The widest
+# user is `pitmanyor verify`: 17 grid points times the 66 size profiles of
+# n <= 8 (p(1) + ... + p(8)), plus the Dirichlet-limit and bridge checks,
+# about 1.2k keys in all.  4096 holds that with room to spare, so no caller
+# in the package evicts, while a long-lived process sweeping many parameters
+# cannot grow the caches without end.
+_LAW_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LAW_CACHE_SIZE)
 def _log_prob_from_sizes(alpha: float, d: float, sizes: tuple[int, ...]) -> float:
     # sizes arrive sorted: the law depends only on the size multiset, and a
     # fixed accumulation order makes equal-multiset evaluations bit-identical.
@@ -34,7 +47,7 @@ def _log_prob_from_sizes(alpha: float, d: float, sizes: tuple[int, ...]) -> floa
     return new_block + within - log_rising_factorial(alpha + 1.0, n - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LAW_CACHE_SIZE)
 def _dp_log_prob_from_sizes(alpha: float, sizes: tuple[int, ...]) -> float:
     n = sum(sizes)
     k = len(sizes)
@@ -72,8 +85,6 @@ def normalization_check(params: PYParams, n: int) -> float:
     The law is a probability distribution, so the result must equal 1 up to
     rounding; the exhaustive suites assert agreement to 1e-10.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_NORMALIZATION_N:
-        raise ValueError(f"n must be an integer in 1..{MAX_NORMALIZATION_N}, got {n!r}")
     return math.fsum(
-        math.exp(eppf_log_prob(params, C)) for C in enumerate_partitions(n)
+        math.exp(eppf_log_prob(params, C)) for C in _partition_table(n)
     )

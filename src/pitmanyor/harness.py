@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Partition, PYParams, enumerate_partitions, partition_from_allocations
+# enumerate_partitions stays importable from here: the benchmark's worker
+# reads harness.enumerate_partitions
+from .core import (
+    Partition,
+    PYParams,
+    _partition_table,
+    enumerate_partitions,  # noqa: F401
+    partition_from_allocations,
+)
 from .crp import sample_label_matrix
 from .eppf import MAX_NORMALIZATION_N, eppf_log_prob
 from .stickbreak import sample_partition_labels_batch
@@ -35,6 +43,9 @@ __all__ = [
 SAMPLERS = ("stick", "crp")
 BATCH_TRIALS = 1 << 15
 MAX_GROWTH_N = 100_000
+# uniforms per block of the growth chain (1 MiB of float64): long enough to
+# amortise the per-block calls, small enough to leave peak memory alone
+_GROWTH_BLOCK_ELEMENTS = 1 << 17
 
 
 def format_partition(partition: Partition) -> str:
@@ -179,7 +190,7 @@ def tv_distance(emp: EmpiricalPartitionDist, params: PYParams | None = None) -> 
     if emp.n > MAX_NORMALIZATION_N:
         raise ValueError(f"n must be at most {MAX_NORMALIZATION_N}, got {emp.n}")
     gap = 0.0
-    for partition in enumerate_partitions(emp.n):
+    for partition in _partition_table(emp.n):
         exact = math.exp(eppf_log_prob(params, partition))
         gap += abs(emp.counts.get(partition, 0) / emp.trials - exact)
     return 0.5 * gap
@@ -208,6 +219,13 @@ def growth_experiment(
     block count, so the chain has exactly the law of the block count of a
     full restaurant run (the tests cross-check this against the full
     sampler).  That keeps the experiment cheap at n = 10^5.
+
+    The uniforms come in blocks of rows, one row of `trials` per step and at
+    most `_GROWTH_BLOCK_ELEMENTS` per block, and a block never runs past a
+    grid point.  A (rows, trials) draw is the same stream as `rows` draws of
+    `trials`, so the blocks change no output.  At d = 0 the chance is
+    alpha/(alpha + i) whatever the state, so a whole block is one comparison
+    and a column sum; at d > 0 the rows are applied one step at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -220,21 +238,23 @@ def growth_experiment(
         raise ValueError(f"grid exceeds the {MAX_GROWTH_N} ceiling: {n_grid!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    wanted = set(grid)
+    alpha, d = params.alpha, params.d
+    max_rows = max(1, _GROWTH_BLOCK_ELEMENTS // trials)
     k = np.ones(trials)
     records = []
-
-    def snapshot(n_now: int) -> None:
+    i = 1  # observations seated so far
+    for n_now in grid:
+        while i < n_now:
+            rows = min(max_rows, n_now - i)
+            u = rng.random((rows, trials))
+            if d == 0.0:
+                k += (u < (alpha / (alpha + np.arange(i, i + rows)))[:, None]).sum(axis=0)
+            else:
+                for step, row in enumerate(u, start=i):
+                    k += row < (alpha + k * d) / (alpha + step)
+            i += rows
         se = float(k.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         records.append(GrowthRecord(n_now, float(k.mean()), se, trials))
-
-    if 1 in wanted:
-        snapshot(1)
-    for i in range(1, grid[-1]):
-        p_new = (params.alpha + k * params.d) / (params.alpha + i)
-        k += rng.random(trials) < p_new
-        if (i + 1) in wanted:
-            snapshot(i + 1)
 
     if len(records) >= 2:
         cut = min(len(records) - 2, len(records) // 2)

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import constants
-from .core import PYParams, enumerate_partitions
+from .core import PYParams, _partition_table
 from .crp import sequential_log_prob
 from .eppf import dp_log_prob, eppf_log_prob, normalization_check
 from .harness import growth_experiment, run_monte_carlo, tv_distance
@@ -116,7 +116,7 @@ def check_normalization(alpha=None, d=None, **_):
 
 def check_sequential_identity(alpha=None, d=None, **_):
     out = []
-    partitions = [C for n in range(1, 9) for C in enumerate_partitions(n)]
+    partitions = [C for n in range(1, 9) for C in _partition_table(n)]
     for params in _grid(alpha, d):
         worst = max(
             abs(sequential_log_prob(params, C) - eppf_log_prob(params, C))
@@ -137,7 +137,7 @@ def check_sequential_identity(alpha=None, d=None, **_):
 
 def check_dp_limit(alpha=None, d=None, **_):
     alphas = DP_LIMIT_ALPHAS if alpha is None else (alpha,)
-    partitions = [C for n in range(1, 7) for C in enumerate_partitions(n)]
+    partitions = [C for n in range(1, 7) for C in _partition_table(n)]
     out = []
     for a in alphas:
         if not a > 0:
@@ -375,7 +375,7 @@ def check_lemma_b_bridge(alpha=None, d=None, **_):
         below = True
         for n in range(1, 5):
             rebuilt = 0.0
-            for partition in enumerate_partitions(n):
+            for partition in _partition_table(n):
                 got = _bridge_reconstruction(params, partition, max_label)
                 want = math.exp(eppf_log_prob(params, partition))
                 rebuilt += got

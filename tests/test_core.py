@@ -8,12 +8,15 @@ from scipy.special import gammaln
 
 from pitmanyor.core import (
     MAX_ENUMERATION_N,
+    MAX_NORMALIZATION_N,
     Partition,
     PYParams,
+    _partition_table,
     enumerate_partitions,
     log_rising_factorial,
     partition_from_allocations,
 )
+from pitmanyor.eppf import normalization_check
 
 
 def bell_numbers(limit):
@@ -134,6 +137,22 @@ class TestEnumeration:
     def test_out_of_range(self, n):
         with pytest.raises(ValueError):
             list(enumerate_partitions(n))
+
+
+class TestPartitionTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_enumeration_and_is_built_once(self, n):
+        table = _partition_table(n)
+        assert table == tuple(enumerate_partitions(n))
+        assert _partition_table(n) is table
+
+    @pytest.mark.parametrize("n", [0, -1, MAX_NORMALIZATION_N + 1, 2.5, "3"])
+    def test_out_of_range_message_unchanged(self, n):
+        message = f"n must be an integer in 1..{MAX_NORMALIZATION_N}, got {n!r}"
+        for call in (_partition_table, lambda n: normalization_check(PYParams(1.0, 0.5), n)):
+            with pytest.raises(ValueError) as err:
+                call(n)
+            assert str(err.value) == message
 
 
 class TestLogRisingFactorial:

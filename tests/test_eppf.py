@@ -4,7 +4,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pitmanyor.core import Partition, PYParams, enumerate_partitions
-from pitmanyor.eppf import dp_log_prob, eppf_log_prob, normalization_check
+from pitmanyor.eppf import (
+    _dp_log_prob_from_sizes,
+    _log_prob_from_sizes,
+    dp_log_prob,
+    eppf_log_prob,
+    normalization_check,
+)
 
 P = Partition.from_blocks
 
@@ -71,10 +77,25 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalization_check(PYParams(1.0, 0.5), n)
 
+    @pytest.mark.parametrize(
+        "params", [PYParams(1.0, 0.5), PYParams(-0.3, 0.5), PYParams(2.0, 0.0)], ids=str
+    )
+    def test_equals_streaming_sum_over_enumeration(self, params):
+        for n in range(1, 9):
+            want = math.fsum(math.exp(eppf_log_prob(params, C)) for C in enumerate_partitions(n))
+            assert normalization_check(params, n) == want
+
     @pytest.mark.parametrize("params", small_grid(), ids=str)
     def test_grid_n6(self, params):
         for n in range(1, 7):
             assert abs(normalization_check(params, n) - 1.0) <= 1e-10
+
+
+class TestLawCaches:
+    @pytest.mark.parametrize("cache", [_log_prob_from_sizes, _dp_log_prob_from_sizes])
+    def test_bounded(self, cache):
+        maxsize = cache.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestSymmetry:

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from pitmanyor.core import Partition, PYParams, enumerate_partitions
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import (
+    _GROWTH_BLOCK_ELEMENTS,
     EmpiricalPartitionDist,
+    GrowthRecord,
     _code_partitions,
     _partition_codes,
     format_partition,
@@ -166,6 +168,18 @@ class TestTvDistance:
         with pytest.raises(ValueError):
             tv_distance(emp, PYParams(2.0, 0.5))
 
+    @pytest.mark.parametrize(
+        "params", [PYParams(1.0, 0.5), PYParams(-0.3, 0.5), PYParams(2.0, 0.0)], ids=str
+    )
+    def test_equals_streaming_sum_over_enumeration(self, params):
+        for n in range(1, 9):
+            emp = run_monte_carlo(params, n, 500, "crp", 40 + n, workers=1)
+            gap = 0.0
+            for partition in enumerate_partitions(n):
+                exact = math.exp(eppf_log_prob(params, partition))
+                gap += abs(emp.counts.get(partition, 0) / emp.trials - exact)
+            assert tv_distance(emp) == 0.5 * gap
+
     def test_explicit_matching_params_ok(self):
         params = PYParams(1.0, 0.5)
         emp = self.make_emp({P([[1, 2]]): 1}, params)
@@ -186,7 +200,53 @@ def exact_mean_blocks(alpha, d, n_values):
     return out
 
 
+def growth_reference(params, grid, trials, seed):
+    """The block-count chain one step at a time, one `rng.random(trials)` per
+    step: the reference the block-drawing engine must match bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    wanted = set(grid)
+    k = np.ones(trials)
+    records = []
+
+    def snapshot(n_now):
+        se = float(k.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        records.append(GrowthRecord(n_now, float(k.mean()), se, trials))
+
+    if 1 in wanted:
+        snapshot(1)
+    for i in range(1, grid[-1]):
+        p_new = (params.alpha + k * params.d) / (params.alpha + i)
+        k += rng.random(trials) < p_new
+        if (i + 1) in wanted:
+            snapshot(i + 1)
+    if len(records) >= 2:
+        cut = min(len(records) - 2, len(records) // 2)
+        xs = np.log([r.n for r in records[cut:]])
+        ys = np.log([r.mean_kn for r in records[cut:]])
+        return records, float(np.polyfit(xs, ys, 1)[0])
+    return records, float("nan")
+
+
+# (grid, trials).  At 64 trials a block holds ROWS steps, so "off-block-ends"
+# spans several blocks and ends each grid interval inside one.
+ROWS = _GROWTH_BLOCK_ELEMENTS // 64
+GROWTH_CASES = {
+    "grid-with-1": ([1, 2, 3, 10], 50),
+    "off-block-ends": ([5, ROWS + 17, 2 * ROWS + 5, 3 * ROWS - 1], 64),
+    "one-trial": ([1, 40, 300], 1),
+    "one-row-blocks": ([2, 3, 6], _GROWTH_BLOCK_ELEMENTS // 2 + 1),
+}
+
+
 class TestGrowthExperiment:
+    @pytest.mark.parametrize("case", GROWTH_CASES)
+    @pytest.mark.parametrize(
+        "params", [PYParams(1.0, 0.0), PYParams(1.0, 0.5), PYParams(1.0, 0.9), PYParams(-0.3, 0.5)], ids=str
+    )
+    def test_matches_per_step_reference(self, params, case):
+        grid, trials = GROWTH_CASES[case]
+        assert growth_experiment(params, grid, trials, 31) == growth_reference(params, grid, trials, 31)
+
     def test_trivial_single_trial(self):
         records, _ = growth_experiment(PYParams(1.0, 0.5), [1, 2], 1, 0)
         assert records[0].n == 1 and records[0].mean_kn == 1.0 and records[0].se == 0.0
