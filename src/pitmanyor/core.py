@@ -15,6 +15,7 @@ __all__ = [
     "PYParams",
     "Partition",
     "log_rising_factorial",
+    "log_gamma_ratio",
     "enumerate_partitions",
     "partition_from_allocations",
     "MAX_ENUMERATION_N",
@@ -31,8 +32,13 @@ MAX_ENUMERATION_N = 12
 MAX_NORMALIZATION_N = 10
 
 # Below this the rising factorial is a direct sum of logs (exact for the small
-# arguments that dominate the test paths); above it, a log-gamma difference.
+# arguments that dominate the test paths); above it, a log-gamma ratio.
 _LGAMMA_CROSSOVER = 64
+
+# From here on `log_gamma_ratio` uses Stirling's series, whose terms through
+# w^-5 are then within 1e-15 of lgamma(w); the plain difference of two lgamma
+# values would lose about w log w ulps to cancellation.
+_STIRLING_MIN_W = 50.0
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,38 @@ def log_rising_factorial(x: float, n: int) -> float:
         return total
     if x <= 0.0:
         raise ValueError(f"x must be positive for large n, got x={x}")
-    return math.lgamma(x + n) - math.lgamma(x)
+    return log_gamma_ratio(x, n, 0.0)
+
+
+def _stirling_tail(w: float) -> float:
+    # lgamma(w) - [(w - 1/2) log w - w + log(2 pi)/2], through the w^-5 term
+    w2 = w * w
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * w2)) / w2) / w
+
+
+def log_gamma_ratio(z: float, a: float, b: float) -> float:
+    """lgamma(z + a) - lgamma(z + b), accurate even where both lgamma values
+    are huge against their difference (large z).
+
+    Both z + a and z + b must be positive.  Once both are at least 50 and
+    z > 0, Stirling's series is differenced term by term with
+    log(z + c) = log z + log1p(c / z), so the large (w - 1/2) log w - w parts
+    cancel exactly and only the (a - b) log z part and small corrections
+    remain; below that the lgamma values are small and their difference is
+    taken directly.
+    """
+    wa, wb = z + a, z + b
+    if not (wa > 0.0 and wb > 0.0):
+        raise ValueError(f"z + a and z + b must be positive, got {wa} and {wb}")
+    if z <= 0.0 or min(wa, wb) < _STIRLING_MIN_W:
+        return math.lgamma(wa) - math.lgamma(wb)
+    return (
+        (a - b) * math.log(z)
+        + (wa - 0.5) * math.log1p(a / z)
+        - (wb - 0.5) * math.log1p(b / z)
+        - (a - b)
+        + (_stirling_tail(wa) - _stirling_tail(wb))
+    )
 
 
 def partition_from_allocations(z: Sequence[int]) -> Partition:

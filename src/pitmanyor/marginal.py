@@ -14,6 +14,7 @@ gaps >= 1.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
@@ -232,6 +233,15 @@ def truncated_label_mass(params: PYParams, n: int, max_label: int) -> float:
     return total
 
 
+@lru_cache(maxsize=MAX_PERMUTATION_K)
+def _permutation_orders(k: int) -> np.ndarray:
+    """Every ordering of range(k), one per row; read-only, since each call
+    for the same k shares the array."""
+    orders = np.array(list(permutations(range(k))))
+    orders.flags.writeable = False
+    return orders
+
+
 def lemma_c_check(sizes: Sequence[int], d: float) -> tuple[float, float]:
     """Permutation-sum identity of sampling blocks without replacement.
 
@@ -249,8 +259,7 @@ def lemma_c_check(sizes: Sequence[int], d: float) -> tuple[float, float]:
         if not isinstance(s, (int, np.integer)) or s < 1:
             raise ValueError(f"sizes must be integers >= 1, got {s!r}")
     arr = np.asarray(sizes, dtype=float)
-    orders = np.array(list(permutations(range(k))))
-    picked = arr[orders]
+    picked = arr[_permutation_orders(k)]
     suffix = np.cumsum(picked[:, ::-1], axis=1)[:, ::-1]
     denom = suffix - d * np.arange(k, 0, -1, dtype=float)
     lhs = float((1.0 / denom).prod(axis=1).sum())

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import constants
 from .core import PYParams, _partition_table
-from .crp import sequential_log_prob
-from .eppf import dp_log_prob, eppf_log_prob, normalization_check
+from .crp import _table_sequential_log_probs
+from .eppf import _table_log_probs, _table_probs, normalization_check
 from .harness import growth_experiment, run_monte_carlo, tv_distance
 from .marginal import (
     _log_beta,
@@ -116,12 +116,12 @@ def check_normalization(alpha=None, d=None, **_):
 
 def check_sequential_identity(alpha=None, d=None, **_):
     out = []
-    partitions = [C for n in range(1, 9) for C in _partition_table(n)]
     for params in _grid(alpha, d):
-        worst = max(
-            abs(sequential_log_prob(params, C) - eppf_log_prob(params, C))
-            for C in partitions
+        gaps = (
+            _table_sequential_log_probs(params, n) - _table_log_probs(params, n)
+            for n in range(1, 9)
         )
+        worst = max(float(np.abs(gap).max()) for gap in gaps)
         out.append(
             _record(
                 "sequential_product_identity",
@@ -137,15 +137,16 @@ def check_sequential_identity(alpha=None, d=None, **_):
 
 def check_dp_limit(alpha=None, d=None, **_):
     alphas = DP_LIMIT_ALPHAS if alpha is None else (alpha,)
-    partitions = [C for n in range(1, 7) for C in _partition_table(n)]
     out = []
     for a in alphas:
         if not a > 0:
             continue
         params = PYParams(a, constants.DP_LIMIT_DISCOUNT)
+        # d = 0 evaluates the Dirichlet branch, as dp_log_prob does
+        dirichlet = PYParams(a, 0.0)
         worst = max(
-            abs(math.exp(eppf_log_prob(params, C)) - math.exp(dp_log_prob(a, C)))
-            for C in partitions
+            float(np.abs(_table_probs(params, n) - _table_probs(dirichlet, n)).max())
+            for n in range(1, 7)
         )
         out.append(
             _record(
@@ -300,23 +301,23 @@ def check_allocation_truncated_normalization(alpha=None, d=None, **_):
         ]
     params = PYParams(a, dd)
     levels = (10, 20, 30, 40, 50, 60)
-    partial = []
+    partial_sums = []
     for level in levels:
         total = math.fsum(
             math.exp(allocation_log_prob(params, z))
             for z in _all_label_vectors(2, level)
         )
-        partial.append(total)
-    monotone = all(x < y for x, y in zip(partial, partial[1:]))
+        partial_sums.append(total)
+    monotone = all(x < y for x, y in zip(partial_sums, partial_sums[1:]))
     return [
         _record(
             "allocation_truncated_normalization",
-            monotone and partial[-1] >= 0.99,
+            monotone and partial_sums[-1] >= 0.99,
             alpha=a,
             d=dd,
             n=2,
             levels=list(levels),
-            partial_sums=partial,
+            partial_sums=partial_sums,
             target=0.99,
             monotone=monotone,
         )
@@ -375,9 +376,8 @@ def check_lemma_b_bridge(alpha=None, d=None, **_):
         below = True
         for n in range(1, 5):
             rebuilt = 0.0
-            for partition in _partition_table(n):
+            for partition, want in zip(_partition_table(n), _table_probs(params, n).tolist()):
                 got = _bridge_reconstruction(params, partition, max_label)
-                want = math.exp(eppf_log_prob(params, partition))
                 rebuilt += got
                 deficit = max(deficit, want - got)
                 below &= got <= want + constants.TOL_ROUNDING

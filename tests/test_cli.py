@@ -40,6 +40,15 @@ class TestEppfCommand:
         assert header == "alpha,d,n,partition,log_prob,prob"
         assert row.startswith("1.0,0.5,2,1|2,")
 
+    def test_large_alpha_singletons(self, capsys):
+        # 70 singletons at alpha = 1e15 have probability 1 - 1.2e-12, and the
+        # (alpha + 1)_(69) factor takes the log-gamma-ratio branch of the
+        # rising factorial; its plain lgamma difference printed 0.438
+        spec = "|".join(str(i) for i in range(1, 71))
+        code, out, _ = run_cli(capsys, "eppf", "--alpha", "1e15", "--d", "0.5", "--partition", spec)
+        assert code == 0
+        assert math.isclose(json.loads(out)["prob"], 1.0, rel_tol=1e-9)
+
     def test_bad_partition_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "eppf", "--alpha", "1", "--d", "0.5", "--partition", "1,3"

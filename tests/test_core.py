@@ -13,6 +13,7 @@ from pitmanyor.core import (
     PYParams,
     _partition_table,
     enumerate_partitions,
+    log_gamma_ratio,
     log_rising_factorial,
     partition_from_allocations,
 )
@@ -196,3 +197,32 @@ class TestLogRisingFactorial:
             rtol=1e-11,
             atol=1e-11,
         )
+
+    @pytest.mark.parametrize("x, n", [(1e12, 100), (1e15, 65), (1e8, 100), (0.5, 1000)])
+    def test_large_n_matches_sum_of_logs(self, x, n):
+        # x + j is exact in every case, so the sum of logs is accurate to a few ulps;
+        # a plain lgamma difference is off by 1.0 at (1e15, 65)
+        want = math.fsum(math.log(x + j) for j in range(n))
+        assert_allclose(log_rising_factorial(x, n), want, rtol=1e-15)
+
+
+class TestLogGammaRatio:
+    @pytest.mark.parametrize(
+        "z, a, b", [(0.5, 3.0, 1.0), (10.0, 2.5, 0.0), (49.0, 0.0, 7.0), (60.0, 1.5, 0.25)]
+    )
+    def test_matches_lgamma_difference_at_small_z(self, z, a, b):
+        want = math.lgamma(z + a) - math.lgamma(z + b)
+        assert_allclose(log_gamma_ratio(z, a, b), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("z", [1e3, 1e8, 1e12, 1e15])
+    def test_large_z_matches_sum_of_logs(self, z):
+        # Gamma(z + 100.5) / Gamma(z + 0.5) = prod_{j<100} (z + 0.5 + j)
+        want = math.fsum(math.log(z + 0.5 + j) for j in range(100))
+        assert_allclose(log_gamma_ratio(z, 100.5, 0.5), want, rtol=1e-15)
+        assert_allclose(log_gamma_ratio(z, 0.5, 100.5), -want, rtol=1e-15)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            log_gamma_ratio(1.0, -1.0, 0.0)
+        with pytest.raises(ValueError):
+            log_gamma_ratio(-2.0, 1.0, 3.0)

@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pitmanyor.core import Partition, PYParams, enumerate_partitions, partition_from_allocations
+from pitmanyor.core import (
+    Partition,
+    PYParams,
+    _partition_table,
+    enumerate_partitions,
+    partition_from_allocations,
+)
 from pitmanyor.crp import (
+    _SEATING_CODES,
     SeatingState,
+    _table_sequential_log_probs,
     crp_predictive,
     crp_sample_partition,
     sample_label_matrix,
@@ -16,6 +24,7 @@ from pitmanyor.crp import (
 )
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import run_monte_carlo, tv_distance
+from pitmanyor.verify import default_parameter_grid
 
 P = Partition.from_blocks
 
@@ -98,6 +107,48 @@ class TestSequentialLogProb:
                     eppf_log_prob(params, partition),
                     atol=1e-10,
                 )
+
+
+def sequential_reference(params, partition):
+    """The per-step loop: add log(alpha + k d) on opening a block after k,
+    or log(s - d) on joining a block of size s, then subtract
+    log(alpha + i - 1), one observation at a time."""
+    block_of = {e: b for b, block in enumerate(partition.blocks) for e in block}
+    seen_sizes = [0] * partition.num_blocks
+    opened = 0
+    total = 0.0
+    for i in range(1, partition.n + 1):
+        b = block_of[i]
+        if seen_sizes[b] == 0:
+            if i > 1:
+                total += math.log(params.alpha + opened * params.d)
+                total -= math.log(params.alpha + i - 1)
+            opened += 1
+        else:
+            total += math.log(seen_sizes[b] - params.d)
+            total -= math.log(params.alpha + i - 1)
+        seen_sizes[b] += 1
+    return total
+
+
+class TestSequentialTable:
+    @pytest.mark.parametrize("params", default_parameter_grid(), ids=str)
+    def test_table_equals_scalar_and_reference(self, params):
+        for n in range(1, 9):
+            table = _partition_table(n)
+            vector = _table_sequential_log_probs(params, n)
+            assert vector.shape == (len(table),)
+            for value, partition in zip(vector.tolist(), table):
+                want = sequential_reference(params, partition)
+                assert value == want
+                assert sequential_log_prob(params, partition) == want
+
+    def test_event_codes_built_once_and_read_only(self):
+        _table_sequential_log_probs(PYParams(1.0, 0.5), 5)
+        codes = _SEATING_CODES[5]
+        _table_sequential_log_probs(PYParams(2.0, 0.1), 5)
+        assert _SEATING_CODES[5] is codes
+        assert not codes.flags.writeable
 
 
 class TestSampler:

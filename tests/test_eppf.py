@@ -3,14 +3,18 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from pitmanyor.core import Partition, PYParams, enumerate_partitions
+from pitmanyor.core import Partition, PYParams, _partition_table, enumerate_partitions
 from pitmanyor.eppf import (
     _dp_log_prob_from_sizes,
     _log_prob_from_sizes,
+    _size_profiles,
+    _table_log_probs,
+    _table_probs,
     dp_log_prob,
     eppf_log_prob,
     normalization_check,
 )
+from pitmanyor.verify import default_parameter_grid
 
 P = Partition.from_blocks
 
@@ -89,6 +93,29 @@ class TestNormalization:
     def test_grid_n6(self, params):
         for n in range(1, 7):
             assert abs(normalization_check(params, n) - 1.0) <= 1e-10
+
+
+class TestLawTable:
+    @pytest.mark.parametrize("params", default_parameter_grid(), ids=str)
+    def test_table_equals_scalar(self, params):
+        for n in range(1, 9):
+            table = _partition_table(n)
+            log_probs = _table_log_probs(params, n).tolist()
+            probs = _table_probs(params, n).tolist()
+            assert len(log_probs) == len(probs) == len(table)
+            for partition, value, prob in zip(table, log_probs, probs):
+                want = eppf_log_prob(params, partition)
+                assert value == want
+                assert prob == math.exp(want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_profiles_built_once_and_read_only(self, n):
+        profiles, index = _size_profiles(n)
+        assert _size_profiles(n)[1] is index
+        assert not index.flags.writeable
+        assert list(profiles) == sorted(set(profiles))
+        for partition, i in zip(_partition_table(n), index.tolist()):
+            assert profiles[i] == tuple(sorted(partition.block_sizes()))
 
 
 class TestLawCaches:

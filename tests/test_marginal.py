@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ from scipy.special import betaln
 
 from pitmanyor.core import Partition, PYParams, partition_from_allocations
 from pitmanyor.marginal import (
+    MAX_PERMUTATION_K,
     AllocationStats,
+    _permutation_orders,
     allocation_log_prob,
     allocation_stats,
     beta_moment,
@@ -220,6 +222,14 @@ class TestUrnPermutationIdentity:
             lemma_c_check([2, 0], 0.5)
         with pytest.raises(ValueError):
             lemma_c_check([2], 1.0)
+
+    @pytest.mark.parametrize("k", range(1, MAX_PERMUTATION_K + 1))
+    def test_orders_cached_and_read_only(self, k):
+        orders = _permutation_orders(k)
+        assert _permutation_orders(k) is orders
+        assert not orders.flags.writeable
+        assert orders.shape == (math.factorial(k), k)
+        assert sorted(map(tuple, orders.tolist())) == sorted(permutations(range(k)))
 
     @pytest.mark.parametrize("d", [0.0, 0.3, 0.9])
     def test_random_vectors(self, d):
