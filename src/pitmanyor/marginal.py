@@ -183,8 +183,12 @@ def lemma_b_truncated_sum(
     correction; for alpha > 0 it increases monotonically to the closed form
     as max_label grows, with a tail that decays like max_label^(-(1-d)/d):
     like 1/max_label at d = 1/2, and geometrically at d = 0.
+
+    The block sizes are walked in sorted order, which fixes the order of
+    every sum: partitions with the same size profile give bit-identical
+    values.
     """
-    sizes = partition.block_sizes()
+    sizes = sorted(partition.block_sizes())
     k = len(sizes)
     if max_label < k:
         raise ValueError(f"max_label must be at least the block count {k}")

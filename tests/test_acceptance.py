@@ -1,48 +1,55 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Run `pytest -s tests/test_acceptance.py` to see every line.  Criterion 6
-rebuilds partition probabilities from the label sum truncated at max_label
-60.  Such a rebuilt value is Pr(C and every label <= 60), not Pr(C): the
-label distribution is heavy-tailed (that power law is the point of the
-discount parameter), so at d = 0.5 the omitted labels carry
+Run `pytest -s tests/test_acceptance.py` to see every line.
+
+Criteria 1, 2, 3, 7, 8 and 9, and the truncated-normalization half of
+criterion 4, assert over the records of the `pitmanyor.verify` check that
+implements each one, and over the coverage the criterion states (record
+count, seeds, trials, bound or tolerance), so the gate cannot drift from
+`pitmanyor verify` or be weakened by editing it.  The rest keep independent
+routes: criterion 4's scipy `betaln` oracle, criterion 5's own
+`default_rng(SEED)` stream, criterion 6 with its `kept_label_mass` oracle,
+and criterion 10's CLI runs.
+
+Criterion 6 rebuilds partition probabilities from the label sum truncated
+at max_label 60.  Such a rebuilt value is Pr(C and every label <= 60), not
+Pr(C): the label distribution is heavy-tailed (that power law is the point
+of the discount parameter), so at d = 0.5 the omitted labels carry
 Theta(1/max_label) probability.  The criterion therefore checks the
 truncated values against the mass the truncation keeps, computed from the
-stick beta moments, and reports the deficit against the full law.  The companion test directly below
-it shows the same bridge meeting 1e-4 against the full law at max_label
-100000.  See README, "Known failing checks".
+stick beta moments, and reports the deficit against the full law.  The
+companion test directly below it shows the same bridge meeting 1e-4 against
+the full law at max_label 100000.  See README, "Known failing checks".
 """
 
 import math
 from itertools import product
 
 import numpy as np
-import pytest
 from scipy.special import betaln
 
 from pitmanyor import constants
 from pitmanyor.cli import cli_main
-from pitmanyor.core import Partition, PYParams, enumerate_partitions
-from pitmanyor.crp import sequential_log_prob
-from pitmanyor.eppf import dp_log_prob, eppf_log_prob, normalization_check
-from pitmanyor.harness import growth_experiment, run_monte_carlo, tv_distance
+from pitmanyor.core import PYParams, enumerate_partitions
+from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.marginal import (
     allocation_log_prob,
     allocation_stats,
     beta_moment,
     lemma_b_truncated_sum,
     lemma_c_check,
-    lemma_d_check,
+)
+from pitmanyor.verify import (
+    check_allocation_truncated_normalization,
+    check_dp_limit,
+    check_growth,
+    check_lemma_d,
+    check_normalization,
+    check_sampler_law_tv,
+    check_sequential_identity,
 )
 
 SEED = 20_260_810
-
-GRID = [
-    PYParams(a, d)
-    for a in (-0.3, 0.0, 0.5, 1.0, 5.0)
-    for d in (0.0, 0.1, 0.5, 0.9)
-    if a > -d
-]
-THEOREM_CONFIGS = ((1.0, 0.5), (0.3, 0.7), (5.0, 0.1), (1.0, 0.0))
 
 
 def report(number, description, passed, detail):
@@ -51,38 +58,36 @@ def report(number, description, passed, detail):
 
 
 def test_criterion_01_partition_law_normalization():
-    worst = 0.0
-    for params in GRID:
-        for n in range(1, 9):
-            worst = max(worst, abs(normalization_check(params, n) - 1.0))
+    records = check_normalization()
+    assert len(records) == 17
+    assert all(r["tolerance"] == 1e-10 for r in records)
+    worst = max(r["max_abs_error"] for r in records)
     ok = report(1, "partition-law normalization on the 17-point grid, n <= 8",
-                worst <= 1e-10, f"max |sum-1| = {worst:.2e}, tol 1e-10")
+                worst <= 1e-10 and all(r["passed"] for r in records),
+                f"max |sum-1| = {worst:.2e}, tol 1e-10")
     assert ok
 
 
 def test_criterion_02_sequential_product_identity():
-    partitions = [C for n in range(1, 9) for C in enumerate_partitions(n)]
-    worst = 0.0
-    for params in GRID:
-        for partition in partitions:
-            gap = abs(
-                sequential_log_prob(params, partition) - eppf_log_prob(params, partition)
-            )
-            worst = max(worst, gap)
+    records = check_sequential_identity()
+    assert len(records) == 17
+    assert all(r["tolerance"] == 1e-10 for r in records)
+    worst = max(r["max_abs_error"] for r in records)
     ok = report(2, "sequential predictive product equals the partition law, n <= 8",
-                worst <= 1e-10, f"max |gap| = {worst:.2e}, tol 1e-10")
+                worst <= 1e-10 and all(r["passed"] for r in records),
+                f"max |gap| = {worst:.2e}, tol 1e-10")
     assert ok
 
 
 def test_criterion_03_stick_sampler_total_variation():
-    results = []
-    for idx, (alpha, d) in enumerate(THEOREM_CONFIGS):
-        emp = run_monte_carlo(PYParams(alpha, d), 4, 1_000_000, "stick", SEED + idx)
-        results.append(((alpha, d), tv_distance(emp)))
-    worst = max(tv for _, tv in results)
-    detail = ", ".join(f"({a},{d}): {tv:.4f}" for (a, d), tv in results)
+    records = check_sampler_law_tv("stick", trials=1_000_000, seed=SEED)
+    assert [r["seed"] for r in records] == [SEED, SEED + 1, SEED + 2, SEED + 3]
+    assert all(r["n"] == 4 and r["trials"] == 1_000_000 and r["bound"] == 0.005
+               for r in records)
+    worst = max(r["tv"] for r in records)
+    detail = ", ".join(f"({r['alpha']},{r['d']}): {r['tv']:.4f}" for r in records)
     ok = report(3, "one million stick-construction draws vs the law, n = 4",
-                worst < 0.005, f"{detail}; bound 0.005")
+                worst < 0.005 and all(r["passed"] for r in records), f"{detail}; bound 0.005")
     assert ok
 
 
@@ -106,21 +111,14 @@ def test_criterion_04_allocation_marginal():
     # truncated normalization at n = 2: monotone, reaching 0.99 by labels 60.
     # The criterion leaves (alpha, d) open; d = 0.1 is used because 60 labels
     # hold that much mass there (at d = 0.5 they provably hold only ~0.91).
-    params = PYParams(1.0, 0.1)
-    partial = []
-    for level in (10, 20, 30, 40, 50, 60):
-        partial.append(
-            math.fsum(
-                math.exp(allocation_log_prob(params, (z1, z2)))
-                for z1 in range(1, level + 1)
-                for z2 in range(1, level + 1)
-            )
-        )
-    monotone = all(x < y for x, y in zip(partial, partial[1:]))
+    (record,) = check_allocation_truncated_normalization()
+    assert (record["alpha"], record["d"], record["n"]) == (1.0, 0.1, 2)
+    assert record["levels"][-1] == 60 and record["target"] == 0.99
+    partial, monotone = record["partial_sums"], record["monotone"]
     ok = report(
         4,
         "allocation marginal: oracle match (n <= 3) and truncated normalization",
-        worst <= 1e-10 and monotone and partial[-1] >= 0.99,
+        worst <= 1e-10 and monotone and partial[-1] >= 0.99 and record["passed"],
         f"max |gap| = {worst:.2e} (tol 1e-10); partial sum at 60 labels = "
         f"{partial[-1]:.6f} (target 0.99, alpha=1, d=0.1), monotone={monotone}",
     )
@@ -211,57 +209,41 @@ def test_criterion_06_companion_bridge_converged():
 
 
 def test_criterion_07_nested_gap_sums():
-    grid = (
-        (1.0, 0.5, (2.0,)),
-        (1.0, 0.5, (4.0, 2.0)),
-        (1.0, 0.5, (6.0, 4.0, 2.0)),
-        (1.0, 0.3, (3.0, 2.0)),
-        (2.0, 0.3, (5.0, 3.0, 2.0)),
-        (0.5, 0.9, (6.0, 5.0, 4.0)),
-    )
-    worst = 0.0
-    all_monotone = True
-    for alpha, d, offsets in grid:
-        params = PYParams(alpha, d)
-        values = [lemma_d_check(params, offsets, cap) for cap in (50, 100, 200, 500)]
-        rhs = values[0][1]
-        seq = [v[0] for v in values]
-        all_monotone &= seq == sorted(seq) and all(v <= rhs for v in seq)
-        worst = max(worst, abs(seq[-1] - rhs))
+    records = check_lemma_d()
+    assert len(records) == 6
+    assert all(r["tolerance"] == 1e-4 and r["truncations"][-1] == 500 for r in records)
+    worst = max(r["final_gap"] for r in records)
+    monotone = all(r["monotone"] and r["below_limit"] for r in records)
     ok = report(7, "nested gap sums approach their closed form monotonically",
-                all_monotone and worst <= 1e-4,
-                f"max gap at truncation 500 = {worst:.2e}, tol 1e-4; monotone={all_monotone}")
+                worst <= 1e-4 and monotone and all(r["passed"] for r in records),
+                f"max gap at truncation 500 = {worst:.2e}, tol 1e-4; monotone={monotone}")
     assert ok
 
 
 def test_criterion_08_block_count_growth():
-    grid = [100, 1_000, 10_000, 100_000]
-    _, exponent = growth_experiment(PYParams(1.0, 0.5), grid, 200, SEED + 8)
-    records, _ = growth_experiment(PYParams(1.0, 0.0), grid, 200, SEED + 9)
-    ratio = records[-1].mean_kn / math.log(records[-1].n)
+    power, log = check_growth(seed=SEED + 5)
+    assert (power["seed"], log["seed"]) == (SEED + 8, SEED + 9)
+    assert power["bounds"] == [0.4, 0.6]
+    assert log["n"] == 100_000 and log["rel_tolerance"] == 0.3
     ok = report(
         8,
         "power-law block growth (d=0.5) and logarithmic growth (d=0)",
-        0.4 <= exponent <= 0.6 and abs(ratio - 1.0) <= 0.3,
-        f"fitted exponent = {exponent:.4f} (bounds [0.4, 0.6]); "
-        f"mean/log(n) at n=1e5 = {ratio:.4f} (within 30% of alpha=1)",
+        0.4 <= power["exponent"] <= 0.6 and abs(log["ratio"] - 1.0) <= 0.3
+        and power["passed"] and log["passed"],
+        f"fitted exponent = {power['exponent']:.4f} (bounds [0.4, 0.6]); "
+        f"mean/log(n) at n=1e5 = {log['ratio']:.4f} (within 30% of alpha=1)",
     )
     assert ok
 
 
 def test_criterion_09_dirichlet_limit():
-    worst = 0.0
-    for alpha in (0.5, 1.0, 5.0):
-        params = PYParams(alpha, 1e-8)
-        for n in range(1, 7):
-            for partition in enumerate_partitions(n):
-                gap = abs(
-                    math.exp(eppf_log_prob(params, partition))
-                    - math.exp(dp_log_prob(alpha, partition))
-                )
-                worst = max(worst, gap)
+    records = check_dp_limit()
+    assert [r["alpha"] for r in records] == [0.5, 1.0, 5.0]
+    assert all(r["d"] == 1e-8 and r["tolerance"] == 1e-6 for r in records)
+    worst = max(r["max_abs_error"] for r in records)
     ok = report(9, "discount 1e-8 matches the Dirichlet branch in probability space",
-                worst <= 1e-6, f"max |gap| = {worst:.2e}, tol 1e-6")
+                worst <= 1e-6 and all(r["passed"] for r in records),
+                f"max |gap| = {worst:.2e}, tol 1e-6")
     assert ok
 
 

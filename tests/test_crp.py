@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from pitmanyor.constants import TOL_PREDICTIVE_SUM
 from pitmanyor.core import (
     Partition,
     PYParams,
@@ -72,14 +73,14 @@ class TestPredictive:
         if not alpha > -d:
             return
         out = crp_predictive(PYParams(alpha, d), SeatingState(tuple(sizes)))
-        assert abs(math.fsum(out.tolist()) - 1.0) <= 1e-15
+        assert abs(math.fsum(out.tolist()) - 1.0) <= TOL_PREDICTIVE_SUM
 
     def test_sums_to_one_large_state(self):
         rng = np.random.default_rng(5)
         sizes = tuple(int(v) for v in rng.integers(1, 4, size=4000))
         assert sum(sizes) >= 4000
         out = crp_predictive(PYParams(1.0, 0.5), SeatingState(sizes))
-        assert abs(math.fsum(out.tolist()) - 1.0) <= 1e-15
+        assert abs(math.fsum(out.tolist()) - 1.0) <= TOL_PREDICTIVE_SUM
 
 
 class TestSequentialLogProb:

@@ -3,6 +3,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
+from pitmanyor.constants import TOL_EXHAUSTIVE
 from pitmanyor.core import Partition, PYParams, _partition_table, enumerate_partitions
 from pitmanyor.eppf import (
     _dp_log_prob_from_sizes,
@@ -172,5 +173,5 @@ class TestAdditionConsistency:
                     for ext in self.extensions(partition)
                 )
                 assert_allclose(
-                    total, math.exp(eppf_log_prob(params, partition)), atol=1e-10
+                    total, math.exp(eppf_log_prob(params, partition)), atol=TOL_EXHAUSTIVE
                 )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import betaln
 
-from pitmanyor.core import Partition, PYParams, partition_from_allocations
+from pitmanyor.core import Partition, PYParams, enumerate_partitions, partition_from_allocations
 from pitmanyor.marginal import (
     MAX_PERMUTATION_K,
     AllocationStats,
@@ -21,6 +21,7 @@ from pitmanyor.marginal import (
     lemma_d_check,
     truncated_label_mass,
 )
+from pitmanyor.verify import _bridge_reconstruction
 
 P = Partition.from_blocks
 
@@ -303,6 +304,21 @@ class TestLabelSumOracle:
     def test_max_label_validation(self):
         with pytest.raises(ValueError):
             lemma_b_truncated_sum(PYParams(1.0, 0.5), P([[1], [2]]), 1)
+
+    @pytest.mark.parametrize("params", [PYParams(0.3, 0.7), PYParams(2.0, 0.9)], ids=str)
+    @pytest.mark.parametrize("max_label", [60, 100_000])
+    def test_equal_on_each_size_profile(self, params, max_label):
+        # the bridge check evaluates one partition per size profile and
+        # reuses its value for the rest, so the values must be bit-identical
+        for n in range(1, 5):
+            by_profile = {}
+            for partition in enumerate_partitions(n):
+                value = (
+                    lemma_b_truncated_sum(params, partition, max_label),
+                    _bridge_reconstruction(params, partition, max_label),
+                )
+                sizes = tuple(sorted(partition.block_sizes()))
+                assert by_profile.setdefault(sizes, value) == value, partition
 
 
 class TestNestedGapSums:
