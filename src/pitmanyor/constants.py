@@ -38,15 +38,9 @@ TV_TRIALS = 1_000_000
 # errors; 3.5 sigma keeps the flake probability of the whole suite below 1%.
 MC_SIGMA = 3.5
 
-# Hard cap on lazily realized sticks: turns a pathological RNG/parameter
-# interaction into a loud error instead of a hang.  Note that for d >= 0.5
-# the stick index of a single observation is heavy-tailed enough that one
-# draw in ~10^5 legitimately needs more than this many sticks; callers that
-# sample at scale either use the partition-mode batch sampler (which stops a
-# row once at most one observation is uncovered) or raise the cap explicitly.
+# Hard cap on the sticks the scalar walk realizes: turns a pathological
+# RNG/parameter interaction into a loud error instead of a hang.  Note that
+# for d >= 0.5 the stick index of a single observation is heavy-tailed enough
+# that one draw in ~10^5 legitimately needs more than this many sticks;
+# sampling at scale uses the batch samplers, which realize no sticks.
 STICK_CAP = 1_000_000
-
-# Cap for the partition-mode batch sampler.  With the one-straggler stopping
-# rule the per-trial stick count tail is squared, so this is a pathology
-# guard, not an expected code path.
-PARTITION_STICK_CAP = 10_000_000_000

@@ -154,14 +154,19 @@ def log_gamma_ratio(z: float, a: float, b: float) -> float:
     z > 0, Stirling's series is differenced term by term with
     log(z + c) = log z + log1p(c / z), so the large (w - 1/2) log w - w parts
     cancel exactly and only the (a - b) log z part and small corrections
-    remain; below that the lgamma values are small and their difference is
-    taken directly.
+    remain.  Smaller arguments are first moved up into that range with
+    lgamma(w) = lgamma(w + k) - sum_{t<k} log(w + t), whose k terms pair up
+    as log1p((a - b) / (z + b + t)), so close arguments keep their relative
+    accuracy.
     """
     wa, wb = z + a, z + b
     if not (wa > 0.0 and wb > 0.0):
         raise ValueError(f"z + a and z + b must be positive, got {wa} and {wb}")
     if z <= 0.0 or min(wa, wb) < _STIRLING_MIN_W:
-        return math.lgamma(wa) - math.lgamma(wb)
+        # rebase at z + b, so that the new z is positive, and shift both up
+        k = max(0, math.ceil(_STIRLING_MIN_W - min(wa, wb)))
+        shift = math.fsum(math.log1p((a - b) / (wb + t)) for t in range(k))
+        return log_gamma_ratio(wb + k, a - b, 0.0) - shift
     return (
         (a - b) * math.log(z)
         + (wa - 0.5) * math.log1p(a / z)

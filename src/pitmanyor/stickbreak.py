@@ -1,32 +1,35 @@
-"""Stick-breaking construction: beta stick sampling and exact lazy allocation.
+"""Stick-breaking construction: beta stick sampling and exact allocation draws.
 
 The i-th stick fraction (1-based) is Beta(1 - d, alpha + i d); its weight is
-the fraction times the mass left unbroken by earlier sticks.  Allocation draws
-walk the realized prefix sums and extend the stick sequence on demand, so
+the fraction times the mass left unbroken by earlier sticks.  The scalar
+sampler realizes the sticks lazily and walks their prefix sums, so its
 finite-dimensional samples are exact: there is no truncation level and hence
-no truncation bias.
+no truncation bias.  It keeps a hard stick cap as a loud diagnostic, because
+for d >= 1/2 the stick index of one observation has survival
+~ L^(-(1-d)/d) and occasional draws need enormous extensions.
 
-Every beta and gamma variate comes from numpy's ``Generator`` (``beta`` and
-``standard_gamma``), so a seed maps to one stream whatever optional packages
-are importable.
+The batch samplers never realize a stick.  Given the fractions, each of the
+m observations not yet placed lands on stick i with probability V_i,
+independently, so with V_i integrated out (the beta-moment lemma) the hit
+count at stick i is BetaBinomial(m, 1 - d, alpha + i d), independently
+across sticks.  A row therefore jumps from one hit stick to the next: the
+next hit stick J inverts the closed-form survival of the empty sticks in
+between, and the hit size follows P(H = h | H >= 1), proportional to
+C(m, h) (1 - d)_h (alpha + J d)_(m - h).  Which observations a hit takes is
+uniform, so the columns are filled in hit order and each row is permuted
+once at the end.  A row takes at most n hit events, whatever the tail.
 
-The tail work is genuinely heavy for d >= 1/2: the stick index of a single
-observation has survival ~ L^(-(1-d)/d), so its expected value is infinite
-and occasional draws need enormous extensions.  The scalar sampler keeps the
-hard stick cap as a loud diagnostic.  For partition sampling at Monte Carlo
-scale, sample_partition_labels_batch stops a row as soon as at most one of
-its observations is uncovered: a lone straggler occupies some stick beyond
-everything realized and is therefore a singleton block of the partition no
-matter which far stick it is, so stopping there is exact for the induced
-partition while squaring the tail exponent of the per-trial work.
+Every variate comes from numpy's ``Generator``, so a seed maps to one stream
+whatever optional packages are importable.
 """
 
 from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
 
-from .constants import PARTITION_STICK_CAP, STICK_CAP
-from .core import Partition, PYParams, partition_from_allocations
+from .constants import STICK_CAP
+from .core import Partition, PYParams, _stirling_tail, partition_from_allocations
 
 __all__ = [
     "StickState",
@@ -39,8 +42,12 @@ __all__ = [
     "stickbreak_sample_partition",
 ]
 
-# active-rows x chunk-width ceiling for one vectorized extension
-_MAX_CHUNK_ELEMENTS = 1 << 22
+# sticks whose cumulative empty-stick hazard is tabulated; beyond them the
+# hazard comes from Stirling's series
+_TABLE_STICKS = 1 << 14
+# largest stick index full-label mode returns: stick indices are carried as
+# float64, which holds every integer up to 2^53
+_MAX_LABEL = 2.0**53
 
 
 class StickState:
@@ -144,75 +151,145 @@ def stickbreak_sample_partition(
     return partition_from_allocations(sample_allocations(params, n, rng))
 
 
-def _extend_block(
-    params: PYParams,
-    n_rows: int,
-    realized: int,
-    width: int,
-    residual: np.ndarray,
-    coverage: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw `width` more sticks for each of n_rows rows (all rows share the
-    same global stick positions realized+1 .. realized+width).  Returns the
-    rows' new prefix-sum block and their updated residual and coverage."""
-    b_row = params.alpha + params.d * np.arange(realized + 1, realized + width + 1)
-    v = rng.beta(1.0 - params.d, b_row, size=(n_rows, width))
-    keep = np.cumprod(1.0 - v, axis=1)
-    # prefix sums telescope: sum of the chunk's weights up to column c equals
-    # residual * (1 - prod_{c' <= c} (1 - v))
-    prefix = coverage[:, None] + residual[:, None] * (1.0 - keep)
-    return prefix, residual * keep[:, -1], prefix[:, -1]
+@lru_cache(maxsize=32)
+def _hazard_table(alpha: float, d: float, m: int) -> np.ndarray:
+    """Cumulative hazard H_m(j) = -log P(sticks 1..j all miss m observations)
+    for j = 0.._TABLE_STICKS, increasing from H_m(0) = 0.
 
-
-def _vectorized_batch(params, n, targets, stops, rng, stick_cap):
-    trials = targets.shape[0]
-    z = np.ones((trials, n), dtype=np.int64)
-    active = np.arange(trials)
-    residual = np.ones(trials)
-    coverage = np.zeros(trials)
-    realized = 0
-    width = 4
-    while active.size:
-        if realized >= stick_cap:
-            raise RuntimeError(
-                f"stick extension exceeded the cap of {stick_cap} "
-                f"with {active.size} trials unfinished"
-            )
-        width = min(width, stick_cap - realized)
-        prefix, residual, coverage = _extend_block(
-            params, active.size, realized, width, residual, coverage, rng
-        )
-        for j in range(n):
-            z[active, j] += (prefix < targets[active, j, None]).sum(axis=1)
-        realized += width
-        unfinished = coverage <= stops[active]
-        active = active[unfinished]
-        residual = residual[unfinished]
-        coverage = coverage[unfinished]
-        width = min(width * 2, max(1, _MAX_CHUNK_ELEMENTS // max(1, active.size)))
-    return z
-
-
-def _lazy_batch(params, n, trials, rng, partition_mode, stick_cap):
-    """Shared engine: extend each row until its stop target is covered, while
-    recording the first stick whose prefix sum reaches each observation target.
-
-    In partition mode the stop target is the row's second-largest draw, so an
-    observation can be left uncovered; it gets the first unrealized index.
-
-    The walk is a vectorized active-set sweep: unfinished rows draw their
-    next chunk of sticks together, in chunks that double from four columns.
+    Stick i misses m observations with probability
+    prod_{r<m} (alpha + i d + r) / (alpha + 1 - d + i d + r).  Read-only,
+    since every caller shares it.
     """
-    targets = rng.random((trials, n))
-    if partition_mode:
-        if n == 1:
-            stops = np.full(trials, -np.inf)
-        else:
-            stops = np.sort(targets, axis=1)[:, -2]
-    else:
-        stops = targets.max(axis=1)
-    return _vectorized_batch(params, n, targets, stops, rng, stick_cap)
+    i = np.arange(1, _TABLE_STICKS + 1)
+    r = np.arange(m)[:, None]
+    per_stick = -np.log1p(-(1.0 - d) / (alpha + 1.0 - d + i * d + r)).sum(axis=0)
+    table = np.concatenate(([0.0], np.cumsum(per_stick)))
+    table.flags.writeable = False
+    return table
+
+
+def _far_hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
+    """H_m(j) - H_m(K) for stick indices j >= K = _TABLE_STICKS.
+
+    At d = 0 every stick has the same hazard.  For d > 0 the product over
+    sticks K+1..j telescopes into gamma ratios: with X_r = (alpha + r)/d and
+    Y_r = (alpha + 1 - d + r)/d it is
+    sum_r [lgamma(Y_r + j + 1) - lgamma(X_r + j + 1)] minus the same at j = K.
+    Both arguments exceed K >= 50 here, so each ratio is Stirling's series
+    differenced term by term in z = Y_r + j + 1 and the shift
+    delta = X_r - Y_r = -(1 - d)/d.
+    """
+    r = np.arange(m)
+    if d == 0.0:
+        return (j - _TABLE_STICKS) * -np.log1p(-1.0 / (alpha + 1.0 + r)).sum()
+    delta = -(1.0 - d) / d
+    z_k = (alpha + 1.0 - d + r) / d + _TABLE_STICKS + 1.0
+    gap = (j - _TABLE_STICKS)[:, None]
+    z_j = z_k + gap
+
+    def shape(z):
+        # lgamma(z + delta) - lgamma(z) - delta log z, by Stirling's series;
+        # past z ~ 1e154 the tail's z^2 overflows and the tail is rightly 0
+        with np.errstate(over="ignore"):
+            return (
+                (z + delta - 0.5) * np.log1p(delta / z)
+                + _stirling_tail(z + delta)
+                - _stirling_tail(z)
+            )
+
+    return -(delta * np.log1p(gap / z_k) + shape(z_j) - shape(z_k)).sum(axis=1)
+
+
+def _far_hit_sticks(
+    alpha: float, d: float, m: int, start: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """Smallest stick j >= start with H_m(j) - H_m(K) > target, for rows whose
+    target lies beyond the table: doubling, then bisection, both in log j.
+
+    Squaring the upper end reaches any float in at most seven steps, and
+    bisecting log j down to one stick (or one ulp) takes at most about 60.  Indices are float64; a
+    row whose hit lies beyond the float range gets j = inf.
+    """
+    lo = np.maximum(start - 1.0, float(_TABLE_STICKS))  # hazard(lo) <= target
+    hi = np.full_like(lo, np.inf)  # hazard(hi) > target
+    rows = np.flatnonzero(np.isfinite(lo))
+    with np.errstate(over="ignore"):
+        while rows.size:
+            step = lo[rows] * lo[rows]
+            keep = np.isfinite(step)
+            rows, step = rows[keep], step[keep]
+            past = _far_hazard(alpha, d, m, step) > target[rows]
+            hi[rows[past]] = step[past]
+            lo[rows[~past]] = step[~past]
+            rows = rows[~past]
+    rows = np.flatnonzero(np.isfinite(hi))
+    while rows.size:
+        mid = np.maximum(np.floor(np.sqrt(lo[rows]) * np.sqrt(hi[rows])), lo[rows] + 1.0)
+        keep = (mid > lo[rows]) & (mid < hi[rows])
+        rows, mid = rows[keep], mid[keep]
+        past = _far_hazard(alpha, d, m, mid) > target[rows]
+        hi[rows[past]] = mid[past]
+        lo[rows[~past]] = mid[~past]
+    return hi
+
+
+def _hit_sizes(d: float, m: int, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """H ~ P(H = h | H >= 1), proportional to C(m, h) (1 - d)_h (b)_(m - h)
+    for h = 1..m, built by the ratio of consecutive weights."""
+    h = np.arange(1, m)
+    ratio = ((m - h) * (h + 1.0 - d) / (h + 1.0)) / (b[:, None] + (m - h - 1.0))
+    weights = np.ones((b.size, m))
+    weights[:, 1:] = np.cumprod(ratio, axis=1)
+    cum = np.cumsum(weights, axis=1)
+    u = rng.random(b.size) * cum[:, -1]
+    return 1 + (cum[:, :-1] <= u[:, None]).sum(axis=1)
+
+
+def _hit_events(
+    params: PYParams, n: int, trials: int, rng: np.random.Generator, full_labels: bool
+) -> np.ndarray:
+    """The batch engine: each row's hit events, stage by stage.
+
+    Stage m takes one hit event for every row with m observations unplaced.
+    Its next hit stick J solves H_m(J) > H_m(start - 1) + E with E ~ Exp(1):
+    one `searchsorted` on the cached table up to _TABLE_STICKS, the Stirling
+    closed form beyond it.  Returns float64 labels: the hit sticks J
+    (full_labels, inf past the float range) or the hits' ordinals, which
+    give the same partition.
+    """
+    alpha, d = params.alpha, params.d
+    remaining = np.full(trials, n)
+    start = np.ones(trials)
+    events = np.zeros(trials, dtype=np.intp)
+    labels = np.zeros((trials, n))
+    sizes = np.zeros((trials, n), dtype=np.intp)
+    for m in range(n, 0, -1):
+        rows = np.flatnonzero(remaining == m)
+        if not rows.size:
+            continue
+        table = _hazard_table(alpha, d, m)
+        first = start[rows]
+        target = rng.standard_exponential(rows.size)
+        near = first <= _TABLE_STICKS + 1
+        target[near] += table[first[near].astype(np.intp) - 1]
+        hit = np.full(rows.size, np.inf)
+        hit[near] = np.searchsorted(table, target[near], side="right")
+        far = hit > _TABLE_STICKS
+        # beyond the table, targets are taken relative to H_m(K); a row whose
+        # last hit left the float range stays there
+        target[near & far] -= table[-1]
+        past = ~near & np.isfinite(first)
+        target[past] += _far_hazard(alpha, d, m, first[past] - 1.0)
+        hit[far] = _far_hit_sticks(alpha, d, m, first[far], target[far])
+        taken = _hit_sizes(d, m, alpha + hit * d, rng) if m > 1 else 1
+        slot = events[rows]
+        labels[rows, slot] = hit if full_labels else slot + 1
+        sizes[rows, slot] = taken
+        events[rows] += 1
+        remaining[rows] -= taken
+        start[rows] = hit + 1.0
+    z = np.repeat(labels.ravel(), sizes.ravel()).reshape(trials, n)
+    return rng.permuted(z, axis=1, out=z)
 
 
 def sample_allocations_batch(
@@ -220,25 +297,31 @@ def sample_allocations_batch(
     n: int,
     trials: int,
     rng: np.random.Generator,
-    stick_cap: int = STICK_CAP,
 ) -> np.ndarray:
     """Vectorized sample_allocations across independent trials.
 
     Returns a (trials, n) matrix of 1-based stick indices.  Every row has its
-    own stick realization shared by its n observations; rows are extended in
-    growing column chunks until all their observations are covered, so the
-    lazy-extension law holds exactly with no truncation.
+    own stick realization shared by its n observations, integrated out, so
+    the labels have the exact allocation marginal with no truncation.
 
     The per-observation stick index is heavy-tailed for d >= 1/2 (survival
-    ~ L^(-(1-d)/d)), so large runs can legitimately exceed the default cap;
-    raise stick_cap when full label resolution at scale is really needed, or
-    use sample_partition_labels_batch when only the partition matters.
+    ~ L^(-(1-d)/d)).  Indices are exact up to 2^53, and a batch with any
+    index beyond that raises OverflowError: at d = 0.9 about one observation
+    in sixty lands there.  Use sample_partition_labels_batch when only the
+    partition matters.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return _lazy_batch(params, n, trials, rng, False, stick_cap)
+    z = _hit_events(params, n, trials, rng, True)
+    if z.max() > _MAX_LABEL:
+        raise OverflowError(
+            f"a stick index passed 2^53 at alpha={params.alpha}, d={params.d}: "
+            "full labels are exact only up to 2^53; use "
+            "sample_partition_labels_batch when only the partition matters"
+        )
+    return z.astype(np.int64)
 
 
 def sample_partition_labels_batch(
@@ -246,22 +329,17 @@ def sample_partition_labels_batch(
     n: int,
     trials: int,
     rng: np.random.Generator,
-    stick_cap: int = PARTITION_STICK_CAP,
 ) -> np.ndarray:
     """Allocation labels whose equality pattern has the exact induced-partition
-    law, at far lower cost than full label resolution.
+    law.
 
-    A row stops extending once at most one of its observations is uncovered:
-    every other observation holds a realized stick, so the lone straggler sits
-    on some stick beyond all of them -- a singleton block of the partition no
-    matter which -- and it keeps the first unrealized index as its label.
-    Rows therefore only extend until their second-largest target is covered,
-    which squares the tail exponent of the per-trial work and makes million-
-    draw runs feasible even at d = 0.7.  Only the equality pattern of the
-    returned labels is meaningful.
+    The same engine as sample_allocations_batch, but each hit is labelled by
+    its ordinal within the row, so no label can overflow however far the hit
+    stick lies (at d = 0.9 most of the tail is beyond 2^53).  Only the
+    equality pattern of the returned labels is meaningful.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return _lazy_batch(params, n, trials, rng, True, stick_cap)
+    return _hit_events(params, n, trials, rng, False).astype(np.int64)

@@ -99,15 +99,17 @@ def _record(name, passed, **fields):
 
 
 def check_normalization(alpha=None, d=None, **_):
+    max_n = 8
     out = []
     for params in _grid(alpha, d):
-        worst = max(abs(normalization_check(params, n) - 1.0) for n in range(1, 9))
+        worst = max(abs(normalization_check(params, n) - 1.0) for n in range(1, max_n + 1))
         out.append(
             _record(
                 "eppf_normalization",
                 worst <= constants.TOL_EXHAUSTIVE,
                 alpha=params.alpha,
                 d=params.d,
+                max_n=max_n,
                 max_abs_error=worst,
                 tolerance=constants.TOL_EXHAUSTIVE,
             )
@@ -116,11 +118,12 @@ def check_normalization(alpha=None, d=None, **_):
 
 
 def check_sequential_identity(alpha=None, d=None, **_):
+    max_n = 8
     out = []
     for params in _grid(alpha, d):
         gaps = (
             _table_sequential_log_probs(params, n) - _table_log_probs(params, n)
-            for n in range(1, 9)
+            for n in range(1, max_n + 1)
         )
         worst = max(float(np.abs(gap).max()) for gap in gaps)
         out.append(
@@ -129,6 +132,7 @@ def check_sequential_identity(alpha=None, d=None, **_):
                 worst <= constants.TOL_EXHAUSTIVE,
                 alpha=params.alpha,
                 d=params.d,
+                max_n=max_n,
                 max_abs_error=worst,
                 tolerance=constants.TOL_EXHAUSTIVE,
             )
@@ -138,6 +142,7 @@ def check_sequential_identity(alpha=None, d=None, **_):
 
 def check_dp_limit(alpha=None, d=None, **_):
     alphas = DP_LIMIT_ALPHAS if alpha is None else (alpha,)
+    max_n = 6
     out = []
     for a in alphas:
         if not a > 0:
@@ -147,7 +152,7 @@ def check_dp_limit(alpha=None, d=None, **_):
         dirichlet = PYParams(a, 0.0)
         worst = max(
             float(np.abs(_table_probs(params, n) - _table_probs(dirichlet, n)).max())
-            for n in range(1, 7)
+            for n in range(1, max_n + 1)
         )
         out.append(
             _record(
@@ -155,6 +160,7 @@ def check_dp_limit(alpha=None, d=None, **_):
                 worst <= constants.TOL_DP_LIMIT,
                 alpha=a,
                 d=constants.DP_LIMIT_DISCOUNT,
+                max_n=max_n,
                 max_abs_error=worst,
                 tolerance=constants.TOL_DP_LIMIT,
             )

@@ -60,7 +60,7 @@ def report(number, description, passed, detail):
 def test_criterion_01_partition_law_normalization():
     records = check_normalization()
     assert len(records) == 17
-    assert all(r["tolerance"] == 1e-10 for r in records)
+    assert all(r["tolerance"] == 1e-10 and r["max_n"] == 8 for r in records)
     worst = max(r["max_abs_error"] for r in records)
     ok = report(1, "partition-law normalization on the 17-point grid, n <= 8",
                 worst <= 1e-10 and all(r["passed"] for r in records),
@@ -71,7 +71,7 @@ def test_criterion_01_partition_law_normalization():
 def test_criterion_02_sequential_product_identity():
     records = check_sequential_identity()
     assert len(records) == 17
-    assert all(r["tolerance"] == 1e-10 for r in records)
+    assert all(r["tolerance"] == 1e-10 and r["max_n"] == 8 for r in records)
     worst = max(r["max_abs_error"] for r in records)
     ok = report(2, "sequential predictive product equals the partition law, n <= 8",
                 worst <= 1e-10 and all(r["passed"] for r in records),
@@ -239,7 +239,8 @@ def test_criterion_08_block_count_growth():
 def test_criterion_09_dirichlet_limit():
     records = check_dp_limit()
     assert [r["alpha"] for r in records] == [0.5, 1.0, 5.0]
-    assert all(r["d"] == 1e-8 and r["tolerance"] == 1e-6 for r in records)
+    assert all(r["d"] == 1e-8 and r["tolerance"] == 1e-6 and r["max_n"] == 6
+               for r in records)
     worst = max(r["max_abs_error"] for r in records)
     ok = report(9, "discount 1e-8 matches the Dirichlet branch in probability space",
                 worst <= 1e-6 and all(r["passed"] for r in records),

@@ -142,6 +142,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "alpha = 0" in err
 
+    def test_equivalence_at_discount_0_9_exits_zero(self, capsys):
+        # the stick route's label tail at d = 0.9 passes 2^53 for about one
+        # observation in sixty; the sampler must still finish, and exactly
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "equivalence", "--alpha", "1", "--d", "0.9",
+            "--trials", "20000",
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_byte_identical_repeats(self, capsys):
         argv = ["verify", "--suite", "lemmaC", "--seed", "5"]
         _, first, _ = run_cli(capsys, *argv)

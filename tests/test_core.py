@@ -221,6 +221,19 @@ class TestLogGammaRatio:
         assert_allclose(log_gamma_ratio(z, 100.5, 0.5), want, rtol=1e-15)
         assert_allclose(log_gamma_ratio(z, 0.5, 100.5), -want, rtol=1e-15)
 
+    def test_close_arguments_below_stirling_range(self):
+        # mpmath 1.3.0 at 50 digits; the plain lgamma difference is off by
+        # 5.1e-11 relative here
+        want = 3.5205354307191733724e-4
+        assert_allclose(log_gamma_ratio(34.3, 1.34e-3, 1.24e-3), want, rtol=1e-14)
+
+    def test_nonpositive_z(self):
+        # Gamma(60) / Gamma(70) = 1 / prod_{t=60}^{69} t, with z = -10
+        want = -math.fsum(math.log(t) for t in range(60, 70))
+        assert_allclose(log_gamma_ratio(-10.0, 70.0, 80.0), want, rtol=1e-15)
+        want = math.lgamma(0.5) - math.lgamma(0.25)
+        assert_allclose(log_gamma_ratio(-0.5, 1.0, 0.75), want, rtol=1e-14)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             log_gamma_ratio(1.0, -1.0, 0.0)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import sys
 import types
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 import pitmanyor.stickbreak as sb
 from pitmanyor.constants import MC_SIGMA
 from pitmanyor.core import Partition, PYParams
+from pitmanyor.marginal import allocation_log_prob, allocation_stats, beta_moment
 from pitmanyor.stickbreak import (
     StickState,
     beta_sample,
@@ -162,7 +164,7 @@ class TestFirstAllocationMarginal:
     def test_first_three_labels(self):
         params = PYParams(1.0, 0.5)
         rng = np.random.default_rng(42)
-        z = sample_allocations_batch(params, 1, 1_000_000, rng, stick_cap=10**8)[:, 0]
+        z = sample_allocations_batch(params, 1, 1_000_000, rng)[:, 0]
         for label, want in ((1, 0.25), (2, 0.15), (3, 0.10)):
             freq = (z == label).mean()
             se = math.sqrt(want * (1 - want) / z.size)
@@ -176,7 +178,7 @@ class TestSharedRealizationRegression:
     def test_pair_merge_frequency(self):
         params = PYParams(1.0, 0.5)
         rng = np.random.default_rng(43)
-        z = sample_allocations_batch(params, 2, 400_000, rng, stick_cap=10**8)
+        z = sample_allocations_batch(params, 2, 400_000, rng)
         freq = (z[:, 0] == z[:, 1]).mean()
         se = math.sqrt(0.25 * 0.75 / z.shape[0])
         assert abs(freq - 0.25) <= 3.5 * se
@@ -196,6 +198,85 @@ class TestSharedRealizationRegression:
         assert abs(hits / trials - want) <= 4.5 * se
 
 
+def allocation_prob(params, z):
+    """Exact probability of the label vector z: Prop A's closed form for
+    d > 0, the product of the stick beta moments at d = 0, where the package
+    leaves the closed form undefined."""
+    if params.d > 0.0:
+        return math.exp(allocation_log_prob(params, z))
+    stats = allocation_stats(z)
+    return math.prod(
+        beta_moment(1.0, params.alpha, stats.e[j], stats.f[j]) for j in range(stats.m)
+    )
+
+
+class TestHitEventEngine:
+    @pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (-0.3, 0.9), (1.0, 0.0)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_labels_match_allocation_marginal(self, alpha, d, n):
+        # every label vector with labels <= 3, against the exact law
+        params = PYParams(alpha, d)
+        rng = np.random.default_rng(300 + n)
+        rows = 400_000
+        if d < 0.7:
+            z = sample_allocations_batch(params, n, rows, rng)
+        else:
+            # past d = 0.7 a few of 400k rows hold a stick index beyond 2^53,
+            # where the public sampler raises, so read the engine's labels
+            z = sb._hit_events(params, n, rows, rng, True)
+        codes = ((z - 1) * 3 ** np.arange(n)).sum(axis=1)
+        inside = (z <= 3).all(axis=1)
+        counts = np.bincount(codes[inside].astype(np.int64), minlength=3**n)
+        for labels in itertools.product(range(1, 4), repeat=n):
+            code = sum((v - 1) * 3**k for k, v in enumerate(labels))
+            want = allocation_prob(params, labels)
+            se = math.sqrt(want * (1 - want) / rows)
+            assert abs(counts[code] / rows - want) <= MC_SIGMA * se, labels
+
+    @pytest.mark.parametrize(
+        "alpha, d, m", [(1.0, 0.5, 1), (0.3, 0.7, 3), (-0.3, 0.9, 2), (5.0, 0.1, 4), (2e4, 0.0, 3)]
+    )
+    def test_closed_form_hazard_matches_table(self, alpha, d, m):
+        # inside the table, where Stirling's series is equally valid, the
+        # closed form must reproduce the table's direct sum of logs
+        table = sb._hazard_table(alpha, d, m)
+        j = np.arange(1000, sb._TABLE_STICKS + 1, 97).astype(float)
+        got = sb._far_hazard(alpha, d, m, j)
+        want = table[j.astype(int)] - table[-1]
+        assert_allclose(got, want, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("alpha, d, m", [(1.0, 0.9, 1), (-0.3, 0.9, 3), (1e5, 0.0, 2)])
+    def test_far_hit_is_first_crossing(self, alpha, d, m):
+        rng = np.random.default_rng(7)
+        targets = rng.standard_exponential(2000)
+        start = np.full(targets.size, sb._TABLE_STICKS + 1.0)
+        hit = sb._far_hit_sticks(alpha, d, m, start, targets)
+        # up to 2^40 one stick still moves the hazard by far more than an ulp
+        resolved = hit < 2.0**40
+        assert resolved.sum() > 1000
+        hit, targets = hit[resolved], targets[resolved]
+        assert (sb._far_hazard(alpha, d, m, hit) > targets).all()
+        before = np.maximum(hit - 1.0, sb._TABLE_STICKS)
+        assert (sb._far_hazard(alpha, d, m, before) <= targets).all()
+
+    def test_full_labels_past_2_53_raise(self, monkeypatch):
+        monkeypatch.setattr(sb, "_MAX_LABEL", 10.0)
+        with pytest.raises(OverflowError, match="sample_partition_labels_batch"):
+            sample_allocations_batch(PYParams(1.0, 0.5), 4, 1000, np.random.default_rng(8))
+
+    @pytest.mark.parametrize("alpha, d", [(1.0, 0.9), (1.0, 0.999), (1e6, 0.5)])
+    def test_partition_labels_at_extreme_tails(self, alpha, d):
+        # hits far past 2^53, or past the float range, still give ordinals
+        z = sample_partition_labels_batch(
+            PYParams(alpha, d), 5, 4000, np.random.default_rng(9)
+        )
+        assert z.dtype == np.int64 and z.shape == (4000, 5)
+        assert z.min() >= 1 and z.max() <= 5
+        # ordinals are dense: a row's labels are exactly 1..(its block count)
+        ordered = np.sort(z, axis=1)
+        assert (ordered[:, 0] == 1).all() and (np.diff(ordered, axis=1) <= 1).all()
+
+
 class TestPartitionModeBatch:
     def test_n1_all_singletons(self):
         z = sample_partition_labels_batch(
@@ -207,9 +288,7 @@ class TestPartitionModeBatch:
         # same law: compare merge frequencies from the two batch modes
         params = PYParams(1.0, 0.5)
         trials = 200_000
-        full = sample_allocations_batch(
-            params, 2, trials, np.random.default_rng(2), stick_cap=10**8
-        )
+        full = sample_allocations_batch(params, 2, trials, np.random.default_rng(2))
         part = sample_partition_labels_batch(
             params, 2, trials, np.random.default_rng(3)
         )
