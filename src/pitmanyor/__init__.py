@@ -47,7 +47,6 @@ from .stickbreak import (
     StickState,
     beta_sample,
     extend_sticks,
-    gamma_sample,
     sample_allocations,
     sample_allocations_batch,
     sample_partition_labels_batch,
@@ -78,7 +77,6 @@ __all__ = [
     "sequential_log_prob",
     "sample_label_matrix",
     "beta_sample",
-    "gamma_sample",
     "extend_sticks",
     "sample_allocations",
     "sample_allocations_batch",

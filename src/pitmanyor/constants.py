@@ -39,8 +39,9 @@ TV_TRIALS = 1_000_000
 MC_SIGMA = 3.5
 
 # Hard cap on the sticks the scalar walk realizes: turns a pathological
-# RNG/parameter interaction into a loud error instead of a hang.  Note that
-# for d >= 0.5 the stick index of a single observation is heavy-tailed enough
-# that one draw in ~10^5 legitimately needs more than this many sticks;
-# sampling at scale uses the batch samplers, which realize no sticks.
+# RNG/parameter interaction into a loud error instead of a hang.  The stick
+# index of one observation exceeds L with probability ~ L^(-(1-d)/d), so an
+# observation legitimately needs more than this many sticks about 3e-6 of the
+# time at (alpha, d) = (1, 0.5) and about 0.2 of the time at (1, 0.9).
+# Sampling at scale uses the batch samplers, which realize no sticks.
 STICK_CAP = 1_000_000

@@ -1,6 +1,7 @@
 """Shared numeric and combinatorial primitives.
 
 Parameter validation, canonical set partitions, log-space rising factorials
+and gamma ratios (one Stirling kernel, also behind the stick engine's hazard)
 and exhaustive partition enumeration.  Everything here is a pure function and
 safe to call from any number of threads; the one cache, the per-n partition
 table, holds immutable partitions that every caller may share.
@@ -9,6 +10,8 @@ table, holds immutable partitions that every caller may share.
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "LogProb",
@@ -35,9 +38,9 @@ MAX_NORMALIZATION_N = 10
 # arguments that dominate the test paths); above it, a log-gamma ratio.
 _LGAMMA_CROSSOVER = 64
 
-# From here on `log_gamma_ratio` uses Stirling's series, whose terms through
-# w^-5 are then within 1e-15 of lgamma(w); the plain difference of two lgamma
-# values would lose about w log w ulps to cancellation.
+# Smallest argument `_stirling_shift` takes: from here on Stirling's series
+# through w^-5 is within 1e-15 of lgamma(w), while the plain difference of two
+# lgamma values would lose about w log w ulps to cancellation.
 _STIRLING_MIN_W = 50.0
 
 
@@ -140,40 +143,48 @@ def log_rising_factorial(x: float, n: int) -> float:
     return log_gamma_ratio(x, n, 0.0)
 
 
-def _stirling_tail(w: float) -> float:
-    # lgamma(w) - [(w - 1/2) log w - w + log(2 pi)/2], through the w^-5 term
-    w2 = w * w
-    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * w2)) / w2) / w
+def _stirling_shift(w, delta):
+    """lgamma(w + delta) - lgamma(w) - delta log w by Stirling's series, for
+    w and w + delta both at least _STIRLING_MIN_W; floats or numpy arrays.
+
+    The series is differenced term by term in the shift: with u = w + delta,
+    its leading part (u - 1/2) log u - (w - 1/2) log w - delta leaves
+    (u - 1/2) log1p(delta / w) - delta once delta log w is taken out, and
+    each correction 1/u^k - 1/w^k carries the factor -delta / (w u), so
+    nothing cancels at close arguments.  The value tends to 0 as w grows;
+    once w u overflows (w past about 1e154) the corrections are exactly 0.
+    """
+    u = w + delta
+    s, t = 1.0 / w, 1.0 / u
+    with np.errstate(over="ignore"):
+        p = 1.0 / (w * u)
+    s2, st, t2 = s * s, s * t, t * t
+    q = s2 + st + t2  # (1/u^3 - 1/w^3) / (1/u - 1/w)
+    quartic = s2 * s2 + t2 * t2 + st * q  # the same for the fifth powers
+    # tail(u) - tail(w), where tail(w) = 1/(12 w) - 1/(360 w^3) + 1/(1260 w^5)
+    tail = -delta * p * (1.0 / 12.0 - q / 360.0 + quartic / 1260.0)
+    return (u - 0.5) * np.log1p(delta / w) - delta + tail
 
 
 def log_gamma_ratio(z: float, a: float, b: float) -> float:
     """lgamma(z + a) - lgamma(z + b), accurate even where both lgamma values
-    are huge against their difference (large z).
+    are huge against their difference (large z) or close to each other.
 
-    Both z + a and z + b must be positive.  Once both are at least 50 and
-    z > 0, Stirling's series is differenced term by term with
-    log(z + c) = log z + log1p(c / z), so the large (w - 1/2) log w - w parts
-    cancel exactly and only the (a - b) log z part and small corrections
-    remain.  Smaller arguments are first moved up into that range with
-    lgamma(w) = lgamma(w + k) - sum_{t<k} log(w + t), whose k terms pair up
-    as log1p((a - b) / (z + b + t)), so close arguments keep their relative
-    accuracy.
+    Both z + a and z + b must be positive.  The ratio is rebased to
+    w = z + b + k with the shift delta = a - b, where k >= 0 is the fewest
+    steps that bring both arguments to at least 50, using
+    lgamma(x) = lgamma(x + k) - sum_{t<k} log(x + t); the k step terms pair
+    up as log1p(delta / (z + b + t)).  Stirling's series then gives
+    lgamma(w + delta) - lgamma(w) differenced in delta (`_stirling_shift`).
     """
     wa, wb = z + a, z + b
     if not (wa > 0.0 and wb > 0.0):
         raise ValueError(f"z + a and z + b must be positive, got {wa} and {wb}")
-    if z <= 0.0 or min(wa, wb) < _STIRLING_MIN_W:
-        # rebase at z + b, so that the new z is positive, and shift both up
-        k = max(0, math.ceil(_STIRLING_MIN_W - min(wa, wb)))
-        shift = math.fsum(math.log1p((a - b) / (wb + t)) for t in range(k))
-        return log_gamma_ratio(wb + k, a - b, 0.0) - shift
-    return (
-        (a - b) * math.log(z)
-        + (wa - 0.5) * math.log1p(a / z)
-        - (wb - 0.5) * math.log1p(b / z)
-        - (a - b)
-        + (_stirling_tail(wa) - _stirling_tail(wb))
-    )
+    delta = a - b
+    k = max(0, math.ceil(_STIRLING_MIN_W - min(wa, wb)))
+    shift = math.fsum(math.log1p(delta / (wb + t)) for t in range(k))
+    w = wb + k
+    return float(delta * math.log(w) + _stirling_shift(w, delta)) - shift
 
 
 def partition_from_allocations(z: Sequence[int]) -> Partition:

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LogProb, Partition, PYParams, log_rising_factorial
+from .core import LogProb, Partition, PYParams, log_gamma_ratio, log_rising_factorial
+from .stickbreak import _hazard
 
 __all__ = [
     "AllocationStats",
@@ -81,11 +82,9 @@ def allocation_log_prob(params: PYParams, z: Sequence[int]) -> LogProb:
         1/(alpha)_(n) * prod_blocks Gamma(|c|+1-d)/Gamma(1-d)
                       * prod_{j=1}^{m} (alpha+(j-1)d) / (g_j + alpha + (j-1)d).
 
-    Requires d > 0; the formula collapses at d = 0 and the Dirichlet analogue
-    is out of scope here.
+    The same form holds at d = 0, where every stick fraction is
+    Beta(1, alpha) and each block contributes |c|!.
     """
-    if params.d == 0.0:
-        raise ValueError("allocation marginal requires d > 0")
     stats = allocation_stats(z)
     alpha, d = params.alpha, params.d
     n = len(z)
@@ -98,21 +97,23 @@ def allocation_log_prob(params: PYParams, z: Sequence[int]) -> LogProb:
         total -= math.log(stats.g[j - 1] + alpha + (j - 1) * d)
     for count in stats.e:
         if count > 0:
-            total += math.lgamma(count + 1.0 - d) - math.lgamma(1.0 - d)
+            total += log_rising_factorial(1.0 - d, count)
     return total
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 def beta_moment(a: float, b: float, c: float, e: float) -> float:
-    """E[y^c (1-y)^e] for y ~ Beta(a, b), i.e. B(a+c, b+e) / B(a, b)."""
+    """E[y^c (1-y)^e] for y ~ Beta(a, b), i.e. B(a+c, b+e) / B(a, b),
+    taken as three gamma ratios, so a shape far larger than the orders
+    loses nothing to cancellation."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
     if not (a + c > 0.0 and b + e > 0.0):
         raise ValueError(f"moment orders must satisfy a+c > 0 and b+e > 0")
-    return math.exp(_log_beta(a + c, b + e) - _log_beta(a, b))
+    return math.exp(
+        log_gamma_ratio(a, c, 0.0)
+        + log_gamma_ratio(b, e, 0.0)
+        - log_gamma_ratio(a + b, c + e, 0.0)
+    )
 
 
 def _distinct_suffix_sum_orders(sizes: Sequence[int]) -> Counter:
@@ -221,20 +222,21 @@ def truncated_label_mass(params: PYParams, n: int, max_label: int) -> float:
         sum_{r=0}^{n} C(n,r) (-1)^r prod_{j=1}^{L} (alpha+jd)_(r) / (alpha+1+(j-1)d)_(r).
 
     Every factor is positive on the admissible range, alpha = 0 included.
-    The cost is O(n * max_label), with no scan over label vectors.
+    The product over j is exp(-H_r(max_label)), the stick engine's
+    cumulative miss hazard: a cached table entry up to 2^14 labels and an
+    O(r) closed form beyond, so no label is scanned and max_label may be as
+    large as a float holds.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if max_label < 1:
         raise ValueError(f"max_label must be >= 1, got {max_label}")
-    # denominators alpha+1+(j-1)d; each numerator is 1-d below its denominator
-    den = params.alpha + 1.0 + params.d * np.arange(max_label, dtype=float)
-    log_keep = 0.0
-    total = 1.0
-    for r in range(1, n + 1):
-        log_keep += float(np.log1p(-(1.0 - params.d) / (den + (r - 1))).sum())
-        total += math.comb(n, r) * (-1) ** r * math.exp(log_keep)
-    return total
+    level = np.array([float(max_label)])
+    terms = [
+        math.comb(n, r) * (-1) ** r * math.exp(-_hazard(params.alpha, params.d, r, level)[0])
+        for r in range(1, n + 1)
+    ]
+    return math.fsum([1.0, *terms])
 
 
 @lru_cache(maxsize=MAX_PERMUTATION_K)

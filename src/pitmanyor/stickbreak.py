@@ -4,9 +4,8 @@ The i-th stick fraction (1-based) is Beta(1 - d, alpha + i d); its weight is
 the fraction times the mass left unbroken by earlier sticks.  The scalar
 sampler realizes the sticks lazily and walks their prefix sums, so its
 finite-dimensional samples are exact: there is no truncation level and hence
-no truncation bias.  It keeps a hard stick cap as a loud diagnostic, because
-for d >= 1/2 the stick index of one observation has survival
-~ L^(-(1-d)/d) and occasional draws need enormous extensions.
+no truncation bias.  It raises past STICK_CAP sticks, a cap that heavy
+discounts often reach (see `sample_allocations`).
 
 The batch samplers never realize a stick.  Given the fractions, each of the
 m observations not yet placed lands on stick i with probability V_i,
@@ -15,9 +14,11 @@ count at stick i is BetaBinomial(m, 1 - d, alpha + i d), independently
 across sticks.  A row therefore jumps from one hit stick to the next: the
 next hit stick J inverts the closed-form survival of the empty sticks in
 between, and the hit size follows P(H = h | H >= 1), proportional to
-C(m, h) (1 - d)_h (alpha + J d)_(m - h).  Which observations a hit takes is
-uniform, so the columns are filled in hit order and each row is permuted
-once at the end.  A row takes at most n hit events, whatever the tail.
+C(m, h) (1 - d)_h (alpha + J d)_(m - h).  The survival is exp(-H_m(j)),
+read through `_hazard` (shared with `marginal.truncated_label_mass`).  Which
+observations a hit takes is uniform, so the columns are filled in hit order
+and each row is permuted once at the end.  A row takes at most n hit events,
+whatever the tail.
 
 Every variate comes from numpy's ``Generator``, so a seed maps to one stream
 whatever optional packages are importable.
@@ -29,12 +30,11 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import STICK_CAP
-from .core import Partition, PYParams, _stirling_tail, partition_from_allocations
+from .core import Partition, PYParams, _stirling_shift, partition_from_allocations
 
 __all__ = [
     "StickState",
     "beta_sample",
-    "gamma_sample",
     "extend_sticks",
     "sample_allocations",
     "sample_allocations_batch",
@@ -75,14 +75,6 @@ class StickState:
     def coverage(self) -> float:
         """Total realized weight so far (equals 1 - residual up to rounding)."""
         return self._prefix[-1] if self._prefix else 0.0
-
-
-def gamma_sample(shape: float, rng: np.random.Generator, size: int | None = None):
-    """Gamma(shape, 1) variates from ``rng.standard_gamma``; scalar when size is None."""
-    if not shape > 0.0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
-    out = rng.standard_gamma(shape, size)
-    return float(out) if size is None else out
 
 
 def beta_sample(a: float, b: float, rng: np.random.Generator, size: int | None = None):
@@ -130,6 +122,13 @@ def sample_allocations(
     realized weights, extending the sticks whenever u exceeds the current
     coverage.  All n observations read the same StickState: one draw of the
     weights, n draws from it.  Passing a state reuses its realized sticks.
+
+    The walk raises RuntimeError past STICK_CAP sticks.  Each observation
+    needs more than L sticks with probability ~ L^(-(1-d)/d): 3e-6 at
+    (alpha, d) = (1, 0.5), but 0.23 at (1, 0.9), where n = 4 fails in
+    about 63% of draws.  Sample at scale, or at heavy discounts, with
+    sample_allocations_batch, sample_partition_labels_batch or
+    harness.run_monte_carlo, which realize no sticks and have no cap.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -147,7 +146,12 @@ def sample_allocations(
 def stickbreak_sample_partition(
     params: PYParams, n: int, rng: np.random.Generator
 ) -> Partition:
-    """Partition of [n] induced by grouping equal allocation labels."""
+    """Partition of [n] induced by grouping equal allocation labels.
+
+    One sample_allocations walk, with its cap: at (alpha, d) = (1, 0.9) and
+    n = 4 about 63% of draws raise RuntimeError, so sample at scale with
+    sample_partition_labels_batch or harness.run_monte_carlo.
+    """
     return partition_from_allocations(sample_allocations(params, n, rng))
 
 
@@ -176,8 +180,9 @@ def _far_hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
     Y_r = (alpha + 1 - d + r)/d it is
     sum_r [lgamma(Y_r + j + 1) - lgamma(X_r + j + 1)] minus the same at j = K.
     Both arguments exceed K >= 50 here, so each ratio is Stirling's series
-    differenced term by term in z = Y_r + j + 1 and the shift
-    delta = X_r - Y_r = -(1 - d)/d.
+    (`_stirling_shift`) in z = Y_r + j + 1 and the shift
+    delta = X_r - Y_r = -(1 - d)/d, with the delta log z parts combined into
+    delta log1p((j - K) / z_K).
     """
     r = np.arange(m)
     if d == 0.0:
@@ -185,19 +190,21 @@ def _far_hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
     delta = -(1.0 - d) / d
     z_k = (alpha + 1.0 - d + r) / d + _TABLE_STICKS + 1.0
     gap = (j - _TABLE_STICKS)[:, None]
-    z_j = z_k + gap
+    shifted = _stirling_shift(z_k + gap, delta) - _stirling_shift(z_k, delta)
+    return -(delta * np.log1p(gap / z_k) + shifted).sum(axis=1)
 
-    def shape(z):
-        # lgamma(z + delta) - lgamma(z) - delta log z, by Stirling's series;
-        # past z ~ 1e154 the tail's z^2 overflows and the tail is rightly 0
-        with np.errstate(over="ignore"):
-            return (
-                (z + delta - 0.5) * np.log1p(delta / z)
-                + _stirling_tail(z + delta)
-                - _stirling_tail(z)
-            )
 
-    return -(delta * np.log1p(gap / z_k) + shape(z_j) - shape(z_k)).sum(axis=1)
+def _hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
+    """H_m(j) = -log P(sticks 1..j all miss m observations) for float stick
+    indices j >= 0: the cached table up to _TABLE_STICKS, beyond it a closed
+    form in gamma ratios from the Stirling kernel of `core`, inf at j = inf."""
+    table = _hazard_table(alpha, d, m)
+    out = np.full(j.shape, np.inf)
+    near = j <= _TABLE_STICKS
+    out[near] = table[j[near].astype(np.intp)]
+    far = ~near & np.isfinite(j)
+    out[far] = table[-1] + _far_hazard(alpha, d, m, j[far])
+    return out
 
 
 def _far_hit_sticks(
@@ -252,8 +259,8 @@ def _hit_events(
 
     Stage m takes one hit event for every row with m observations unplaced.
     Its next hit stick J solves H_m(J) > H_m(start - 1) + E with E ~ Exp(1):
-    one `searchsorted` on the cached table up to _TABLE_STICKS, the Stirling
-    closed form beyond it.  Returns float64 labels: the hit sticks J
+    one `searchsorted` on the cached table up to _TABLE_STICKS, a search of
+    the closed form beyond it.  Returns float64 labels: the hit sticks J
     (full_labels, inf past the float range) or the hits' ordinals, which
     give the same partition.
     """
@@ -270,17 +277,12 @@ def _hit_events(
         table = _hazard_table(alpha, d, m)
         first = start[rows]
         target = rng.standard_exponential(rows.size)
-        near = first <= _TABLE_STICKS + 1
-        target[near] += table[first[near].astype(np.intp) - 1]
-        hit = np.full(rows.size, np.inf)
-        hit[near] = np.searchsorted(table, target[near], side="right")
+        target += _hazard(alpha, d, m, first - 1.0)
+        hit = np.searchsorted(table, target, side="right").astype(float)
+        # beyond the table, the search takes targets relative to H_m(K); a
+        # row whose last hit left the float range stays there
         far = hit > _TABLE_STICKS
-        # beyond the table, targets are taken relative to H_m(K); a row whose
-        # last hit left the float range stays there
-        target[near & far] -= table[-1]
-        past = ~near & np.isfinite(first)
-        target[past] += _far_hazard(alpha, d, m, first[past] - 1.0)
-        hit[far] = _far_hit_sticks(alpha, d, m, first[far], target[far])
+        hit[far] = _far_hit_sticks(alpha, d, m, first[far], target[far] - table[-1])
         taken = _hit_sizes(d, m, alpha + hit * d, rng) if m > 1 else 1
         slot = events[rows]
         labels[rows, slot] = hit if full_labels else slot + 1

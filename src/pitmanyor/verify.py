@@ -32,7 +32,6 @@ from .crp import _table_sequential_log_probs
 from .eppf import _size_profiles, _table_log_probs, _table_probs, normalization_check
 from .harness import growth_experiment, run_monte_carlo, tv_distance
 from .marginal import (
-    _log_beta,
     allocation_log_prob,
     allocation_stats,
     beta_moment,
@@ -228,6 +227,10 @@ def check_sampling_determinism(seed=constants.DEFAULT_SEED, **_):
 # allocation marginal (suite propA)
 
 
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def _allocation_oracle_log_prob(params: PYParams, z) -> float:
     # independent route: product of stick beta moments, one per label level
     stats = allocation_stats(z)
@@ -248,17 +251,6 @@ def check_allocation_marginal_oracle(alpha=None, d=None, **_):
     )
     out = []
     for a, dd in pairs:
-        if dd == 0.0:
-            out.append(
-                _record(
-                    "allocation_marginal_oracle",
-                    True,
-                    alpha=a,
-                    d=dd,
-                    skipped="allocation marginal requires d > 0",
-                )
-            )
-            continue
         params = PYParams(a, dd)
         worst = 0.0
         for n in (1, 2, 3):
@@ -287,16 +279,6 @@ def check_allocation_truncated_normalization(alpha=None, d=None, **_):
     # (see README), so d = 0.1 is the default here.
     a = 1.0 if alpha is None else alpha
     dd = 0.1 if d is None else d
-    if dd == 0.0:
-        return [
-            _record(
-                "allocation_truncated_normalization",
-                True,
-                alpha=a,
-                d=dd,
-                skipped="allocation marginal requires d > 0",
-            )
-        ]
     params = PYParams(a, dd)
     levels = (10, 20, 30, 40, 50, 60)
     partial_sums = []

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from pitmanyor.core import (
     Partition,
     PYParams,
     _partition_table,
+    _stirling_shift,
     enumerate_partitions,
     log_gamma_ratio,
     log_rising_factorial,
@@ -198,6 +200,19 @@ class TestLogRisingFactorial:
             atol=1e-11,
         )
 
+    @given(
+        k=st.integers(min_value=1, max_value=10**12 * 2**10),
+        n=st.integers(min_value=0, max_value=2000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sum_of_logs_up_to_1e12(self, k, n):
+        # x = k / 2^10 keeps every x + j exact, so the sum of logs is good to a
+        # few ulps of the sum of their magnitudes
+        x = k / 2**10
+        logs = [math.log(x + j) for j in range(n)]
+        scale = math.fsum(abs(v) for v in logs)
+        assert abs(log_rising_factorial(x, n) - math.fsum(logs)) <= 1e-14 * scale
+
     @pytest.mark.parametrize("x, n", [(1e12, 100), (1e15, 65), (1e8, 100), (0.5, 1000)])
     def test_large_n_matches_sum_of_logs(self, x, n):
         # x + j is exact in every case, so the sum of logs is accurate to a few ulps;
@@ -226,6 +241,27 @@ class TestLogGammaRatio:
         # 5.1e-11 relative here
         want = 3.5205354307191733724e-4
         assert_allclose(log_gamma_ratio(34.3, 1.34e-3, 1.24e-3), want, rtol=1e-14)
+
+    def test_shift_of_4e_12(self):
+        # mpmath 1.3.0 at 60 digits; the shift is 4e-12, so a plain difference
+        # of the two Stirling tails loses about eight digits
+        want = 2.9738927569379262701e-12
+        assert_allclose(
+            log_gamma_ratio(0.906, -1.27107485e-5, -1.27107445e-5), want, rtol=1e-13
+        )
+
+    def test_stirling_kernel_on_arrays_and_past_overflow(self):
+        # lgamma(w - 0.7) - lgamma(w) + 0.7 log w, mpmath 1.3.0 at 60 digits;
+        # callers add delta log w, so the kernel is held to absolute accuracy
+        w = np.array([50.0, 1e3, 1e8])
+        want = [0.011996153958685213648, 0.00059523811806953192267, 5.950000023800000118e-9]
+        assert_allclose(_stirling_shift(w, -0.7), want, rtol=0, atol=1e-15)
+        # lgamma(w - 0.7) - lgamma(w) - (-0.7) log w ~ 0.595 / w, and stays
+        # finite where w * (w + delta) overflows
+        with np.errstate(invalid="raise"):
+            far = _stirling_shift(np.array([1e160, 1e300]), -0.7)
+        assert np.isfinite(far).all() and (np.abs(far) <= 1e-150).all()
+        assert _stirling_shift(1e300, -0.7) == far[1]
 
     def test_nonpositive_z(self):
         # Gamma(60) / Gamma(70) = 1 / prod_{t=60}^{69} t, with z = -10

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pitmanyor.constants import TOL_EXHAUSTIVE
@@ -89,6 +91,13 @@ class TestNormalization:
         for n in range(1, 9):
             want = math.fsum(math.exp(eppf_log_prob(params, C)) for C in enumerate_partitions(n))
             assert normalization_check(params, n) == want
+
+    @given(d=st.floats(min_value=0.0, max_value=0.99))
+    @settings(max_examples=50, deadline=None)
+    def test_alpha_just_above_minus_d(self, d):
+        params = PYParams(-d + 1e-9, d)
+        for n in range(1, 7):
+            assert abs(normalization_check(params, n) - 1.0) <= TOL_EXHAUSTIVE
 
     @pytest.mark.parametrize("params", small_grid(), ids=str)
     def test_grid_n6(self, params):

@@ -81,14 +81,11 @@ class TestAllocationLogProb:
         assert_allclose(math.exp(allocation_log_prob(params, (2,))), 0.15, rtol=1e-12)
         assert_allclose(math.exp(allocation_log_prob(params, (1, 1))), 0.125, rtol=1e-12)
 
-    def test_requires_positive_discount(self):
-        with pytest.raises(ValueError):
-            allocation_log_prob(PYParams(1.0, 0.0), (1,))
-
     @pytest.mark.parametrize(
         "params",
         [PYParams(1.0, 0.5), PYParams(0.3, 0.7), PYParams(2.0, 0.9),
-         PYParams(-0.3, 0.5), PYParams(0.0, 0.2)],
+         PYParams(-0.3, 0.5), PYParams(0.0, 0.2),
+         PYParams(0.1, 0.0), PYParams(1.0, 0.0), PYParams(100.0, 0.0)],
         ids=str,
     )
     def test_matches_beta_moment_oracle(self, params):
@@ -176,6 +173,28 @@ class TestTruncatedNormalization:
         assert_allclose(truncated_label_mass(params, 2, 60),
                         truncated_normalization_n2(params, 60), rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "level, omitted",
+        [(10**16, 0.07264036164871962), (10**30, 0.002079344955529445),
+         (10**40, 0.0001611164707653592)],
+    )
+    def test_kept_mass_far_past_the_table(self, level, omitted):
+        # mpmath 1.3.0 at 60 digits; the tail decays like L^(-(1-d)/d), so at
+        # d = 0.9 even 1e40 labels leave 1.6e-4 of the mass out
+        kept = truncated_label_mass(PYParams(2.0, 0.9), 4, level)
+        assert_allclose(1.0 - kept, omitted, rtol=1e-12)
+
+    def test_kept_mass_matches_direct_product_across_table_edge(self):
+        # labels past 2^14 come from the closed form, not the table
+        params = PYParams(0.3, 0.7)
+        for level in (2**14 - 1, 2**14, 2**14 + 1, 2**14 + 2):
+            want = math.fsum([1.0, *(
+                math.comb(3, r) * (-1) ** r * math.exp(math.fsum(
+                    math.log1p(-(1.0 - params.d) / (params.alpha + 1.0 + (j - 1) * params.d + s))
+                    for j in range(1, level + 1) for s in range(r)))
+                for r in range(1, 4))])
+            assert_allclose(truncated_label_mass(params, 3, level), want, rtol=1e-12)
+
     def test_kept_mass_validation(self):
         with pytest.raises(ValueError):
             truncated_label_mass(PYParams(1.0, 0.5), 0, 10)
@@ -192,6 +211,11 @@ class TestBetaMoment:
 
     def test_mean_formula(self):
         assert_allclose(beta_moment(0.5, 1.5, 1.0, 0.0), 0.25, rtol=1e-13)
+
+    def test_large_shape(self):
+        # a raw lgamma difference is off by 3.9e-3 relative here
+        assert_allclose(beta_moment(0.5, 1e12, 1.0, 0.0), 0.5 / (1e12 + 0.5), rtol=1e-13)
+        assert_allclose(beta_moment(0.5, 1e12, 0.0, 1.0), 1e12 / (1e12 + 0.5), rtol=1e-13)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,11 @@ from numpy.testing import assert_allclose
 import pitmanyor.stickbreak as sb
 from pitmanyor.constants import MC_SIGMA
 from pitmanyor.core import Partition, PYParams
-from pitmanyor.marginal import allocation_log_prob, allocation_stats, beta_moment
+from pitmanyor.marginal import allocation_log_prob
 from pitmanyor.stickbreak import (
     StickState,
     beta_sample,
     extend_sticks,
-    gamma_sample,
     sample_allocations,
     sample_allocations_batch,
     sample_partition_labels_batch,
@@ -24,26 +23,6 @@ from pitmanyor.stickbreak import (
 )
 
 P = Partition.from_blocks
-
-
-class TestGammaSampler:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            gamma_sample(0.0, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5, 40.0])
-    def test_moments(self, shape):
-        rng = np.random.default_rng(100)
-        draws = gamma_sample(shape, rng, size=400_000)
-        se_mean = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - shape) <= 3.5 * se_mean
-        sq = draws**2
-        se_sq = sq.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(sq.mean() - shape * (shape + 1)) <= 3.5 * se_sq
-
-    def test_scalar_mode(self):
-        value = gamma_sample(1.5, np.random.default_rng(0))
-        assert isinstance(value, float) and value > 0
 
 
 class TestBetaSampler:
@@ -199,15 +178,8 @@ class TestSharedRealizationRegression:
 
 
 def allocation_prob(params, z):
-    """Exact probability of the label vector z: Prop A's closed form for
-    d > 0, the product of the stick beta moments at d = 0, where the package
-    leaves the closed form undefined."""
-    if params.d > 0.0:
-        return math.exp(allocation_log_prob(params, z))
-    stats = allocation_stats(z)
-    return math.prod(
-        beta_moment(1.0, params.alpha, stats.e[j], stats.f[j]) for j in range(stats.m)
-    )
+    """Exact probability of the label vector z (Prop A's closed form)."""
+    return math.exp(allocation_log_prob(params, z))
 
 
 class TestHitEventEngine:
@@ -244,6 +216,19 @@ class TestHitEventEngine:
         got = sb._far_hazard(alpha, d, m, j)
         want = table[j.astype(int)] - table[-1]
         assert_allclose(got, want, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("alpha, d, m", [(1.0, 0.5, 2), (-0.3, 0.9, 3), (2e4, 0.0, 1)])
+    def test_hazard_entry_point(self, alpha, d, m):
+        # the table up to 2^14 sticks, the closed form beyond, inf at inf
+        table = sb._hazard_table(alpha, d, m)
+        k = float(sb._TABLE_STICKS)
+        j = np.array([0.0, 7.0, k, k + 1.0, 1e20, np.inf])
+        got = sb._hazard(alpha, d, m, j)
+        assert got[0] == 0.0 and got[1] == table[7] and got[2] == table[-1]
+        far = sb._far_hazard(alpha, d, m, j[3:5])
+        assert (got[3:5] == table[-1] + far).all()
+        assert got[-1] == np.inf
+        assert (np.diff(got) > 0).all()
 
     @pytest.mark.parametrize("alpha, d, m", [(1.0, 0.9, 1), (-0.3, 0.9, 3), (1e5, 0.0, 2)])
     def test_far_hit_is_first_crossing(self, alpha, d, m):

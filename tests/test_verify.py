@@ -49,6 +49,15 @@ class TestSuites:
         assert norm["monotone"]
         assert 0.90 < norm["partial_sums"][-1] < 0.92
 
+    def test_prop_a_checks_the_dirichlet_case(self):
+        # d = 0 runs both checks: labels are geometric, so 60 hold the mass
+        report = run_suite("propA", alpha=1.0, d=0.0)
+        assert report["passed"]
+        oracle, norm = report["checks"]
+        assert oracle["max_abs_error"] <= oracle["tolerance"]
+        assert norm["monotone"] and norm["partial_sums"][-1] >= 0.99
+        assert not any("skipped" in c for c in report["checks"])
+
     def test_lemma_b_reports_known_truncation_failure(self):
         # at max_label 60 the rebuilt values match the mass the truncation
         # keeps, while the reported deficit against the full law stays large
