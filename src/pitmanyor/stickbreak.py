@@ -307,10 +307,15 @@ def sample_allocations_batch(
     the labels have the exact allocation marginal with no truncation.
 
     The per-observation stick index is heavy-tailed for d >= 1/2 (survival
-    ~ L^(-(1-d)/d)).  Indices are exact up to 2^53, and a batch with any
-    index beyond that raises OverflowError: at d = 0.9 about one observation
-    in sixty lands there.  Use sample_partition_labels_batch when only the
-    partition matters.
+    ~ L^(-(1-d)/d)).  Indices are carried as float64, and a batch with any
+    index beyond 2^53 raises OverflowError: at d = 0.9 about one observation
+    in sixty lands there.  Below 2^53 an index is exact only while the
+    inversion of the float hazard H_m(J) resolves single sticks, since its
+    per-stick step shrinks like m (1 - d) / (d J).  At d = 0.9 that holds
+    below about 1e11 sticks; beyond, a hit can be placed some sticks off
+    (seen: up to about 100 in [1e12, 1e14), a few thousand near 2^53).  The
+    partition the labels induce does not depend on that placement.  Use
+    sample_partition_labels_batch when only the partition matters.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -320,7 +325,7 @@ def sample_allocations_batch(
     if z.max() > _MAX_LABEL:
         raise OverflowError(
             f"a stick index passed 2^53 at alpha={params.alpha}, d={params.d}: "
-            "full labels are exact only up to 2^53; use "
+            "full labels are carried only up to 2^53; use "
             "sample_partition_labels_batch when only the partition matters"
         )
     return z.astype(np.int64)

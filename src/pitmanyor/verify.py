@@ -281,13 +281,13 @@ def check_allocation_truncated_normalization(alpha=None, d=None, **_):
     dd = 0.1 if d is None else d
     params = PYParams(a, dd)
     levels = (10, 20, 30, 40, 50, 60)
-    partial_sums = []
-    for level in levels:
-        total = math.fsum(
-            math.exp(allocation_log_prob(params, z))
-            for z in product(range(1, level + 1), repeat=2)
-        )
-        partial_sums.append(total)
+    # each pair is evaluated once, at the top level; fsum rounds exactly, so
+    # summing a level's nested square from the shared table changes no bit
+    labels = range(1, levels[-1] + 1)
+    probs = np.array(
+        [math.exp(allocation_log_prob(params, z)) for z in product(labels, repeat=2)]
+    ).reshape(len(labels), len(labels))
+    partial_sums = [math.fsum(probs[:level, :level].flat) for level in levels]
     monotone = all(x < y for x, y in zip(partial_sums, partial_sums[1:]))
     return [
         _record(

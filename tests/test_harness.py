@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from pitmanyor.core import Partition, PYParams, enumerate_partitions
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import (
-    _GROWTH_BLOCK_ELEMENTS,
+    MAX_GROWTH_N,
     EmpiricalPartitionDist,
-    GrowthRecord,
+    _block_counts,
     _code_partitions,
     _partition_codes,
     format_partition,
@@ -200,52 +200,105 @@ def exact_mean_blocks(alpha, d, n_values):
     return out
 
 
-def growth_reference(params, grid, trials, seed):
-    """The block-count chain one step at a time, one `rng.random(trials)` per
-    step: the reference the block-drawing engine must match bit for bit."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    wanted = set(grid)
-    k = np.ones(trials)
-    records = []
-
-    def snapshot(n_now):
-        se = float(k.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        records.append(GrowthRecord(n_now, float(k.mean()), se, trials))
-
-    if 1 in wanted:
-        snapshot(1)
-    for i in range(1, grid[-1]):
-        p_new = (params.alpha + k * params.d) / (params.alpha + i)
-        k += rng.random(trials) < p_new
-        if (i + 1) in wanted:
-            snapshot(i + 1)
-    if len(records) >= 2:
-        cut = min(len(records) - 2, len(records) // 2)
-        xs = np.log([r.n for r in records[cut:]])
-        ys = np.log([r.mean_kn for r in records[cut:]])
-        return records, float(np.polyfit(xs, ys, 1)[0])
-    return records, float("nan")
+def exact_block_count_law(alpha, d, n_values):
+    """Exact law of the block count K_n at each n in n_values, as arrays whose
+    entry k is Pr(K_n = k), from K_1 = 1 and the forward recursion
+    P_{i+1}(k) = P_i(k)(i - k d)/(alpha + i) + P_i(k-1)(alpha + (k-1)d)/(alpha + i)."""
+    law = np.zeros(max(n_values) + 1)
+    law[1] = 1.0
+    ks = np.arange(law.size)
+    out = {1: law.copy()} if 1 in n_values else {}
+    for i in range(1, max(n_values)):
+        opened = law * (alpha + ks * d) / (alpha + i)
+        law = law * (i - ks * d) / (alpha + i)
+        law[1:] += opened[:-1]
+        if i + 1 in n_values:
+            out[i + 1] = law.copy()
+    return out
 
 
-# (grid, trials).  At 64 trials a block holds ROWS steps, so "off-block-ends"
-# spans several blocks and ends each grid interval inside one.
-ROWS = _GROWTH_BLOCK_ELEMENTS // 64
-GROWTH_CASES = {
-    "grid-with-1": ([1, 2, 3, 10], 50),
-    "off-block-ends": ([5, ROWS + 17, 2 * ROWS + 5, 3 * ROWS - 1], 64),
-    "one-trial": ([1, 40, 300], 1),
-    "one-row-blocks": ([2, 3, 6], _GROWTH_BLOCK_ELEMENTS // 2 + 1),
-}
+def tv_bound(law, n, delta):
+    """A bound the TV between n iid draws from `law` and `law` itself
+    exceeds with probability at most delta.
+
+    Its mean is at most half the summed mean absolute deviations of the
+    Binomial(n, p_k) counts over n, each exact by de Moivre's formula
+    E|X - np| = 2 nu C(n, nu) p^nu (1-p)^(n-nu+1) with nu = floor(np) + 1.
+    One draw moves the TV by at most 1/n, so McDiarmid's inequality adds
+    sqrt(ln(1/delta)/(2n)).
+    """
+    mean = 0.0
+    for p in law:
+        nu = math.floor(n * p) + 1
+        if 0.0 < p and nu <= n:
+            mean += math.exp(
+                math.log(2 * nu) + math.lgamma(n + 1) - math.lgamma(nu + 1)
+                - math.lgamma(n - nu + 1) + nu * math.log(p) + (n - nu + 1) * math.log1p(-p)
+            )
+    return 0.5 * mean / n + math.sqrt(math.log(1 / delta) / (2 * n))
+
+
+def block_count_tv(draws, law):
+    freq = np.bincount(np.asarray(draws, dtype=np.int64), minlength=law.size) / len(draws)
+    return 0.5 * float(np.abs(freq - law).sum())
+
+
+# the grid has 1 (no step taken) and 2 (one step) as well as longer runs
+LAW_GRID = [1, 2, 5, 20, 60]
+# per (params, n) check; 30 checks fail by chance with probability <= 3e-5
+LAW_DELTA = 1e-6
 
 
 class TestGrowthExperiment:
-    @pytest.mark.parametrize("case", GROWTH_CASES)
     @pytest.mark.parametrize(
-        "params", [PYParams(1.0, 0.0), PYParams(1.0, 0.5), PYParams(1.0, 0.9), PYParams(-0.3, 0.5)], ids=str
+        "params",
+        [PYParams(1.0, 0.0), PYParams(2.0, 0.0), PYParams(1.0, 0.5), PYParams(1.0, 0.9),
+         PYParams(-0.3, 0.5), PYParams(0.3, 0.7)],
+        ids=str,
     )
-    def test_matches_per_step_reference(self, params, case):
-        grid, trials = GROWTH_CASES[case]
-        assert growth_experiment(params, grid, trials, 31) == growth_reference(params, grid, trials, 31)
+    def test_block_count_law_is_exact(self, params):
+        trials = 40_000
+        kn = _block_counts(params, LAW_GRID, trials, np.random.default_rng(41))
+        laws = exact_block_count_law(params.alpha, params.d, set(LAW_GRID))
+        for n, draws in zip(LAW_GRID, kn.T):
+            tv = block_count_tv(draws, laws[n])
+            assert tv <= tv_bound(laws[n], trials, LAW_DELTA), (n, tv)
+
+    def test_single_trial_runs_have_the_law(self):
+        # one trial per run: the record mean is that run's K_n
+        params, grid, runs = PYParams(1.0, 0.5), [1, 2, 5], 2000
+        draws = np.array(
+            [[r.mean_kn for r in growth_experiment(params, grid, 1, seed)[0]] for seed in range(runs)]
+        )
+        laws = exact_block_count_law(params.alpha, params.d, set(grid))
+        for n, column in zip(grid, draws.T):
+            assert block_count_tv(column, laws[n]) <= tv_bound(laws[n], runs, LAW_DELTA)
+
+    @pytest.mark.parametrize(
+        "params, grid, trials",
+        [
+            # q about 1e-12 / i: the geometric gap lands far past the horizon
+            (PYParams(-0.5 + 1e-12, 0.5), [2, 1000, MAX_GROWTH_N], 200),
+            # 1 - q rounds to 1, so the gap is infinite
+            (PYParams(1e-320, 0.0), [2, MAX_GROWTH_N], 20),
+            # 1 - q below 1e-9: every step is proposed
+            (PYParams(1e12, 0.5), [10, 2000], 50),
+            (PYParams(1.0, 0.99), [2, 1000, MAX_GROWTH_N], 1),
+            (PYParams(1.0, 0.99), [2, 1000, MAX_GROWTH_N], 200),
+        ],
+        ids=str,
+    )
+    def test_extreme_parameters_stay_in_range(self, params, grid, trials):
+        kn = _block_counts(params, grid, trials, np.random.default_rng(43))
+        assert kn.shape == (trials, len(grid))
+        assert (kn >= 1).all() and (kn <= np.array(grid)).all()
+        assert (np.diff(kn, axis=1) >= 0).all()
+        if params.alpha + params.d < 1e-11:
+            # Pr(any new block by 1e5) is at most about 1e-12 ln(1e5)
+            assert (kn == 1).all()
+        if params.alpha >= 1e12:
+            # Pr(K_n < n) is about n^2 (1 - d) / (2 alpha) = 1e-6
+            assert (kn == np.array(grid)).all()
 
     def test_trivial_single_trial(self):
         records, _ = growth_experiment(PYParams(1.0, 0.5), [1, 2], 1, 0)
