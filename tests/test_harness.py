@@ -243,6 +243,31 @@ def block_count_tv(draws, law):
     return 0.5 * float(np.abs(freq - law).sum())
 
 
+def reference_block_counts(params, grid, trials, rng):
+    """K_n of the block-count chain run one step at a time, one uniform per
+    row per step: the plain simulation the event-to-event engine must match
+    in law."""
+    alpha, d = params.alpha, params.d
+    wanted = set(grid)
+    k = np.ones(trials)
+    cols = [k.copy()] if 1 in wanted else []
+    for i in range(1, grid[-1]):
+        k += rng.random(trials) * (alpha + i) < alpha + k * d
+        if i + 1 in wanted:
+            cols.append(k.copy())
+    return np.column_stack(cols)
+
+
+# (grid, trials, runs): the engine runs `runs` times with `trials` rows each.
+# The row layouts keep the names of the block-of-uniforms engine they once
+# probed: grid points thousands of steps apart, and very many rows.
+GROWTH_CASES = {
+    "grid-with-1": ([1, 2, 3, 10], 50, 40),
+    "off-block-ends": ([5, 2065, 4101, 6143], 64, 4),
+    "one-trial": ([1, 40, 300], 1, 200),
+    "one-row-blocks": ([2, 3, 6], 65_537, 1),
+}
+
 # the grid has 1 (no step taken) and 2 (one step) as well as longer runs
 LAW_GRID = [1, 2, 5, 20, 60]
 # per (params, n) check; 30 checks fail by chance with probability <= 3e-5
@@ -250,6 +275,24 @@ LAW_DELTA = 1e-6
 
 
 class TestGrowthExperiment:
+    @pytest.mark.parametrize("case", GROWTH_CASES)
+    @pytest.mark.parametrize(
+        "params", [PYParams(1.0, 0.0), PYParams(1.0, 0.5), PYParams(1.0, 0.9), PYParams(-0.3, 0.5)], ids=str
+    )
+    def test_matches_per_step_reference(self, params, case):
+        # pooled over the case's runs, the engine's K_n mean agrees with the
+        # per-step chain's within 5 standard errors at every grid point
+        grid, trials, runs = GROWTH_CASES[case]
+        engine = np.vstack(
+            [_block_counts(params, grid, trials, np.random.default_rng([31, r])) for r in range(runs)]
+        )
+        reference = reference_block_counts(params, grid, trials * runs, np.random.default_rng(32))
+        for n, a, b in zip(grid, engine.T, reference.T):
+            se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / a.size)
+            assert abs(a.mean() - b.mean()) <= 5.0 * se, (n, a.mean(), b.mean())
+        records, _ = growth_experiment(params, grid, trials, 31)
+        assert [(r.n, r.trials) for r in records] == [(n, trials) for n in grid]
+
     @pytest.mark.parametrize(
         "params",
         [PYParams(1.0, 0.0), PYParams(2.0, 0.0), PYParams(1.0, 0.5), PYParams(1.0, 0.9),
