@@ -17,8 +17,6 @@ from .core import (
     partition_from_allocations,
 )
 from .crp import (
-    SeatingState,
-    crp_predictive,
     crp_sample_partition,
     sample_label_matrix,
     sequential_log_prob,
@@ -44,10 +42,7 @@ from .marginal import (
     lemma_d_check,
 )
 from .stickbreak import (
-    StickState,
     beta_sample,
-    extend_sticks,
-    sample_allocations,
     sample_allocations_batch,
     sample_partition_labels_batch,
     stickbreak_sample_partition,
@@ -61,8 +56,6 @@ __all__ = [
     "LogProb",
     "PYParams",
     "Partition",
-    "SeatingState",
-    "StickState",
     "AllocationStats",
     "EmpiricalPartitionDist",
     "GrowthRecord",
@@ -72,13 +65,10 @@ __all__ = [
     "eppf_log_prob",
     "dp_log_prob",
     "normalization_check",
-    "crp_predictive",
     "crp_sample_partition",
     "sequential_log_prob",
     "sample_label_matrix",
     "beta_sample",
-    "extend_sticks",
-    "sample_allocations",
     "sample_allocations_batch",
     "sample_partition_labels_batch",
     "stickbreak_sample_partition",

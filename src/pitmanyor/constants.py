@@ -17,9 +17,6 @@ TOL_EXHAUSTIVE = 1e-10
 TOL_DP_LIMIT = 1e-6
 DP_LIMIT_DISCOUNT = 1e-8
 
-# One-step predictive vector must sum to one to this absolute accuracy.
-TOL_PREDICTIVE_SUM = 1e-15
-
 # Relative error of the permutation-sum (size-biased urn) identity.
 TOL_LEMMA_C = 1e-12
 
@@ -37,11 +34,3 @@ TV_TRIALS = 1_000_000
 # z-score used to derive Monte Carlo tolerances from binomial standard
 # errors; 3.5 sigma keeps the flake probability of the whole suite below 1%.
 MC_SIGMA = 3.5
-
-# Hard cap on the sticks the scalar walk realizes: turns a pathological
-# RNG/parameter interaction into a loud error instead of a hang.  The stick
-# index of one observation exceeds L with probability ~ L^(-(1-d)/d), so an
-# observation legitimately needs more than this many sticks about 3e-6 of the
-# time at (alpha, d) = (1, 0.5) and about 0.2 of the time at (1, 0.9).
-# Sampling at scale uses the batch samplers, which realize no sticks.
-STICK_CAP = 1_000_000

@@ -1,94 +1,35 @@
 """Sequential (restaurant-style) sampling view of the partition law.
 
-The one-step predictive rule is defined as the ratio of partition-law values
-before and after seating the next observation, not taken on authority; the
-sequential-product identity test pins it to the exact law.
+Observation i + 1 joins an open block of size s with probability
+(s - d) / (alpha + i), or opens block k + 1 with probability
+(alpha + k d) / (alpha + i).  `sample_label_matrix` seats every row of a
+batch step by step; the scalar `crp_sample_partition` is its one-row call.
+`sequential_log_prob` multiplies the same one-step probabilities along a
+given partition, and the sequential-product identity test pins that product
+to the exact law.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LogProb, Partition, PYParams, _partition_table, partition_from_allocations
 
 __all__ = [
-    "SeatingState",
-    "crp_predictive",
     "crp_sample_partition",
     "sequential_log_prob",
     "sample_label_matrix",
 ]
 
 
-@dataclass(frozen=True)
-class SeatingState:
-    """Sizes of currently occupied blocks, in the order they were opened."""
-
-    block_sizes: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        for s in self.block_sizes:
-            if not isinstance(s, int) or s < 1:
-                raise ValueError(f"block sizes must be integers >= 1, got {s!r}")
-
-    @property
-    def n_seated(self) -> int:
-        return sum(self.block_sizes)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_sizes)
-
-
-def crp_predictive(params: PYParams, state: SeatingState) -> np.ndarray:
-    """Probabilities for the next observation: one entry per open block plus a
-    final entry for opening a new block.
-
-    Existing block j gets (size_j - d) / (alpha + n); a new block gets
-    (alpha + k d) / (alpha + n).  The entries sum to one analytically since
-    the block weights total n - k d.  The very first observation always opens
-    a block, so the empty state returns [1.0].
-    """
-    k = state.n_blocks
-    if k == 0:
-        return np.array([1.0])
-    denom = params.alpha + state.n_seated
-    out = np.empty(k + 1)
-    out[:k] = (np.asarray(state.block_sizes, dtype=float) - params.d) / denom
-    out[k] = (params.alpha + k * params.d) / denom
-    return out
-
-
 def crp_sample_partition(params: PYParams, n: int, rng: np.random.Generator) -> Partition:
-    """Draw one partition of [n] by seating observations 1..n sequentially.
+    """Partition of [n] from one row of sample_label_matrix.
 
-    Identical seeds yield identical partitions.
+    Identical seeds yield identical partitions.  Each call pays the batch
+    sampler's set-up, so draw many partitions with sample_label_matrix or
+    harness.run_monte_carlo.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    sizes: list[int] = []
-    labels: list[int] = []
-    for i in range(n):
-        if i == 0:
-            choice = 0
-            sizes.append(1)
-        else:
-            # walk the unnormalized weights; total is exactly alpha + i
-            target = rng.random() * (params.alpha + i)
-            acc = 0.0
-            choice = len(sizes)
-            for j, s in enumerate(sizes):
-                acc += s - params.d
-                if target < acc:
-                    choice = j
-                    break
-            if choice == len(sizes):
-                sizes.append(1)
-            else:
-                sizes[choice] += 1
-        labels.append(choice + 1)
-    return partition_from_allocations(labels)
+    return partition_from_allocations((sample_label_matrix(params, n, 1, rng)[0] + 1).tolist())
 
 
 def _seating_events(partition: Partition) -> list[int]:
@@ -170,9 +111,9 @@ def sample_label_matrix(
     """Vectorized restaurant sampler across independent trials.
 
     Returns a (trials, n) integer matrix whose rows are 0-based block labels
-    in first-appearance order (a restricted growth string per row).  Row
-    distributions match crp_sample_partition exactly; trials only share the
-    random stream.
+    in first-appearance order (a restricted growth string per row).  Trials
+    only share the random stream.  crp_sample_partition is row 0 of a
+    one-row call.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -1,13 +1,9 @@
 """Stick-breaking construction: beta stick sampling and exact allocation draws.
 
 The i-th stick fraction (1-based) is Beta(1 - d, alpha + i d); its weight is
-the fraction times the mass left unbroken by earlier sticks.  The scalar
-sampler realizes the sticks lazily and walks their prefix sums, so its
-finite-dimensional samples are exact: there is no truncation level and hence
-no truncation bias.  It raises past STICK_CAP sticks, a cap that heavy
-discounts often reach (see `sample_allocations`).
+the fraction times the mass left unbroken by earlier sticks.
 
-The batch samplers never realize a stick.  Given the fractions, each of the
+The samplers never realize a stick.  Given the fractions, each of the
 m observations not yet placed lands on stick i with probability V_i,
 independently, so with V_i integrated out (the beta-moment lemma) the hit
 count at stick i is BetaBinomial(m, 1 - d, alpha + i d), independently
@@ -18,25 +14,21 @@ C(m, h) (1 - d)_h (alpha + J d)_(m - h).  The survival is exp(-H_m(j)),
 read through `_hazard` (shared with `marginal.truncated_label_mass`).  Which
 observations a hit takes is uniform, so the columns are filled in hit order
 and each row is permuted once at the end.  A row takes at most n hit events,
-whatever the tail.
+whatever the tail, so there is no truncation level and no stick cap.  The
+scalar `stickbreak_sample_partition` is a one-row call of this engine.
 
 Every variate comes from numpy's ``Generator``, so a seed maps to one stream
 whatever optional packages are importable.
 """
 
-from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
 
-from .constants import STICK_CAP
 from .core import Partition, PYParams, _stirling_shift, partition_from_allocations
 
 __all__ = [
-    "StickState",
     "beta_sample",
-    "extend_sticks",
-    "sample_allocations",
     "sample_allocations_batch",
     "sample_partition_labels_batch",
     "stickbreak_sample_partition",
@@ -50,33 +42,6 @@ _TABLE_STICKS = 1 << 14
 _MAX_LABEL = 2.0**53
 
 
-class StickState:
-    """Lazily realized sticks of one draw of the random weights.
-
-    v holds the beta fractions, pi the weights pi_j = v_j * prod_{i<j}(1-v_i),
-    residual the unbroken remainder prod_i (1-v_i).  A running prefix sum of
-    pi backs the inverse-cdf walk.  Instances are mutable and single-threaded;
-    run independent instances with independent streams for parallel work.
-    """
-
-    __slots__ = ("v", "pi", "residual", "_prefix")
-
-    def __init__(self) -> None:
-        self.v: list[float] = []
-        self.pi: list[float] = []
-        self.residual: float = 1.0
-        self._prefix: list[float] = []
-
-    @property
-    def n_sticks(self) -> int:
-        return len(self.v)
-
-    @property
-    def coverage(self) -> float:
-        """Total realized weight so far (equals 1 - residual up to rounding)."""
-        return self._prefix[-1] if self._prefix else 0.0
-
-
 def beta_sample(a: float, b: float, rng: np.random.Generator, size: int | None = None):
     """Beta(a, b) variates from ``rng.beta``; scalar when size is None.
 
@@ -88,71 +53,6 @@ def beta_sample(a: float, b: float, rng: np.random.Generator, size: int | None =
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
     out = rng.beta(a, b, size)
     return float(out) if size is None else out
-
-
-def extend_sticks(params: PYParams, state: StickState, rng: np.random.Generator) -> StickState:
-    """Realize one more stick in place and return the same state.
-
-    The i-th stick (1-based) uses shapes (1 - d, alpha + i d); at d = 0 that
-    is (1, alpha) for every i.
-    """
-    if state.n_sticks >= STICK_CAP:
-        raise RuntimeError(
-            f"stick extension exceeded the hard cap of {STICK_CAP} sticks"
-        )
-    i = state.n_sticks + 1
-    v = beta_sample(1.0 - params.d, params.alpha + i * params.d, rng)
-    weight = v * state.residual
-    state.v.append(v)
-    state.pi.append(weight)
-    state._prefix.append(state.coverage + weight)
-    state.residual *= 1.0 - v
-    return state
-
-
-def sample_allocations(
-    params: PYParams,
-    n: int,
-    rng: np.random.Generator,
-    state: StickState | None = None,
-) -> list[int]:
-    """Stick indices (1-based) for n observations sharing one stick realization.
-
-    Each observation draws u ~ Uniform(0,1) and walks the prefix sums of the
-    realized weights, extending the sticks whenever u exceeds the current
-    coverage.  All n observations read the same StickState: one draw of the
-    weights, n draws from it.  Passing a state reuses its realized sticks.
-
-    The walk raises RuntimeError past STICK_CAP sticks.  Each observation
-    needs more than L sticks with probability ~ L^(-(1-d)/d): 3e-6 at
-    (alpha, d) = (1, 0.5), but 0.23 at (1, 0.9), where n = 4 fails in
-    about 63% of draws.  Sample at scale, or at heavy discounts, with
-    sample_allocations_batch, sample_partition_labels_batch or
-    harness.run_monte_carlo, which realize no sticks and have no cap.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if state is None:
-        state = StickState()
-    targets = rng.random(n)
-    z = []
-    for u in targets:
-        while state.coverage <= u:
-            extend_sticks(params, state, rng)
-        z.append(bisect_right(state._prefix, u) + 1)
-    return z
-
-
-def stickbreak_sample_partition(
-    params: PYParams, n: int, rng: np.random.Generator
-) -> Partition:
-    """Partition of [n] induced by grouping equal allocation labels.
-
-    One sample_allocations walk, with its cap: at (alpha, d) = (1, 0.9) and
-    n = 4 about 63% of draws raise RuntimeError, so sample at scale with
-    sample_partition_labels_batch or harness.run_monte_carlo.
-    """
-    return partition_from_allocations(sample_allocations(params, n, rng))
 
 
 @lru_cache(maxsize=32)
@@ -300,7 +200,7 @@ def sample_allocations_batch(
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized sample_allocations across independent trials.
+    """Exact allocation labels for independent trials, one row each.
 
     Returns a (trials, n) matrix of 1-based stick indices.  Every row has its
     own stick realization shared by its n observations, integrated out, so
@@ -350,3 +250,15 @@ def sample_partition_labels_batch(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     return _hit_events(params, n, trials, rng, False).astype(np.int64)
+
+
+def stickbreak_sample_partition(
+    params: PYParams, n: int, rng: np.random.Generator
+) -> Partition:
+    """Partition of [n] from one row of sample_partition_labels_batch.
+
+    Exact at every admissible (alpha, d), with no stick cap.  Each call pays
+    the engine's set-up, so draw many partitions with
+    sample_partition_labels_batch or harness.run_monte_carlo.
+    """
+    return partition_from_allocations(sample_partition_labels_batch(params, n, 1, rng)[0].tolist())

@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pitmanyor.constants import TOL_PREDICTIVE_SUM
 from pitmanyor.core import (
     Partition,
     PYParams,
@@ -16,9 +13,7 @@ from pitmanyor.core import (
 )
 from pitmanyor.crp import (
     _SEATING_CODES,
-    SeatingState,
     _table_sequential_log_probs,
-    crp_predictive,
     crp_sample_partition,
     sample_label_matrix,
     sequential_log_prob,
@@ -26,6 +21,7 @@ from pitmanyor.crp import (
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import run_monte_carlo, tv_distance
 from pitmanyor.verify import default_parameter_grid
+from reference import seat_partition
 
 P = Partition.from_blocks
 
@@ -37,50 +33,6 @@ def small_grid():
         for d in (0.0, 0.1, 0.5, 0.9)
         if a > -d
     ]
-
-
-class TestSeatingState:
-    def test_counts(self):
-        state = SeatingState((3, 1))
-        assert state.n_seated == 4
-        assert state.n_blocks == 2
-
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            SeatingState((0,))
-
-
-class TestPredictive:
-    def test_empty_state_opens_block(self):
-        out = crp_predictive(PYParams(1.0, 0.5), SeatingState())
-        assert out.tolist() == [1.0]
-
-    def test_one_singleton(self):
-        out = crp_predictive(PYParams(1.0, 0.5), SeatingState((1,)))
-        assert_allclose(out, [0.25, 0.75], rtol=1e-15)
-
-    def test_dirichlet_ratios(self):
-        out = crp_predictive(PYParams(2.0, 0.0), SeatingState((3, 1)))
-        assert_allclose(out, [3 / 6, 1 / 6, 2 / 6], rtol=1e-15)
-
-    @given(
-        sizes=st.lists(st.integers(min_value=1, max_value=2500), min_size=1, max_size=400),
-        alpha=st.sampled_from([-0.3, 0.0, 1.0, 5.0]),
-        d=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_sums_to_one(self, sizes, alpha, d):
-        if not alpha > -d:
-            return
-        out = crp_predictive(PYParams(alpha, d), SeatingState(tuple(sizes)))
-        assert abs(math.fsum(out.tolist()) - 1.0) <= TOL_PREDICTIVE_SUM
-
-    def test_sums_to_one_large_state(self):
-        rng = np.random.default_rng(5)
-        sizes = tuple(int(v) for v in rng.integers(1, 4, size=4000))
-        assert sum(sizes) >= 4000
-        out = crp_predictive(PYParams(1.0, 0.5), SeatingState(sizes))
-        assert abs(math.fsum(out.tolist()) - 1.0) <= TOL_PREDICTIVE_SUM
 
 
 class TestSequentialLogProb:
@@ -167,12 +119,25 @@ class TestSampler:
         with pytest.raises(ValueError):
             crp_sample_partition(PYParams(1.0, 0.5), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (1.0, 0.9), (1e6, 0.5)])
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_is_row_zero_of_one_row_batch(self, alpha, d, n):
+        # the seating loop gives the same partitions and leaves the same stream
+        params = PYParams(alpha, d)
+        for seed in range(3):
+            rngs = [np.random.default_rng(seed) for _ in range(3)]
+            got = crp_sample_partition(params, n, rngs[0])
+            row = sample_label_matrix(params, n, 1, rngs[1])[0]
+            assert got == partition_from_allocations((row + 1).tolist())
+            assert got == seat_partition(params, n, rngs[2])
+            assert len({rng.random() for rng in rngs}) == 1
+
     def test_scalar_sampler_frequency(self):
         rng = np.random.default_rng(11)
         params = PYParams(1.0, 0.5)
         merged = P([[1, 2]])
         trials = 40_000
-        hits = sum(crp_sample_partition(params, 2, rng) == merged for _ in range(trials))
+        hits = sum(seat_partition(params, 2, rng) == merged for _ in range(trials))
         se = math.sqrt(0.25 * 0.75 / trials)
         assert abs(hits / trials - 0.25) <= 3.5 * se
 
@@ -193,7 +158,7 @@ class TestBatchSampler:
         trials = 30_000
         scalar_counts = {}
         for _ in range(trials):
-            key = crp_sample_partition(params, 3, rng)
+            key = seat_partition(params, 3, rng)
             scalar_counts[key] = scalar_counts.get(key, 0) + 1
         batch = sample_label_matrix(params, 3, trials, np.random.default_rng(22))
         batch_counts = {}

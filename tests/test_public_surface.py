@@ -1,0 +1,20 @@
+"""The package's exported names and the README's library example."""
+
+import re
+from pathlib import Path
+
+import pitmanyor
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in pitmanyor.__all__ if not hasattr(pitmanyor, name)]
+    assert missing == []
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})

@@ -9,20 +9,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pitmanyor.stickbreak as sb
+import reference
 from pitmanyor.constants import MC_SIGMA
-from pitmanyor.core import Partition, PYParams
+from pitmanyor.core import Partition, PYParams, partition_from_allocations
 from pitmanyor.marginal import allocation_log_prob
 from pitmanyor.stickbreak import (
-    StickState,
     beta_sample,
-    extend_sticks,
-    sample_allocations,
     sample_allocations_batch,
     sample_partition_labels_batch,
     stickbreak_sample_partition,
 )
-
-P = Partition.from_blocks
+from reference import StickState, extend_sticks, sample_allocations
 
 
 class TestBetaSampler:
@@ -92,7 +89,7 @@ class TestStickState:
         assert abs(first.mean() - 0.25) <= 3.5 * se
 
     def test_cap_is_loud(self, monkeypatch):
-        monkeypatch.setattr(sb, "STICK_CAP", 3)
+        monkeypatch.setattr(reference, "STICK_CAP", 3)
         params = PYParams(1.0, 0.5)
         rng = np.random.default_rng(9)
         state = StickState()
@@ -113,13 +110,13 @@ class TestSampleAllocations:
 
     def test_observations_share_one_state(self, monkeypatch):
         states_seen = set()
-        original = sb.extend_sticks
+        original = reference.extend_sticks
 
         def spy(params, state, rng):
             states_seen.add(id(state))
             return original(params, state, rng)
 
-        monkeypatch.setattr(sb, "extend_sticks", spy)
+        monkeypatch.setattr(reference, "extend_sticks", spy)
         sample_allocations(PYParams(1.0, 0.5), 40, np.random.default_rng(11))
         assert len(states_seen) == 1
 
@@ -317,13 +314,23 @@ class TestStickbreakPartition:
         b = [stickbreak_sample_partition(PYParams(1.0, 0.5), 5, np.random.default_rng(6)) for _ in range(30)]
         assert a == b
 
-    def test_pair_frequency(self):
-        # scalar walk, so keep d below 1/2 for cap-safe tail work
-        params = PYParams(1.0, 0.3)
-        rng = np.random.default_rng(45)
-        trials = 30_000
-        merged = P([[1, 2]])
-        hits = sum(stickbreak_sample_partition(params, 2, rng) == merged for _ in range(trials))
-        want = (1 - params.d) / (1 + params.alpha)
-        se = math.sqrt(want * (1 - want) / trials)
-        assert abs(hits / trials - want) <= 4.5 * se
+    @pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (1.0, 0.9), (1e6, 0.5)])
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_is_row_zero_of_one_row_batch(self, alpha, d, n):
+        params = PYParams(alpha, d)
+        for seed in range(3):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = stickbreak_sample_partition(params, n, rng)
+            row = sample_partition_labels_batch(params, n, 1, twin)[0]
+            assert got == partition_from_allocations(row.tolist())
+            assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("d", [0.9, 0.999])
+    def test_heavy_tail_draws_complete(self, d):
+        # a walk over realized sticks needs more than 1e6 of them in about
+        # half of these draws
+        rng = np.random.default_rng(46)
+        for _ in range(20):
+            partition = stickbreak_sample_partition(PYParams(1.0, d), 4, rng)
+            assert isinstance(partition, Partition)
+            assert sorted(e for block in partition.blocks for e in block) == [1, 2, 3, 4]
