@@ -1,0 +1,133 @@
+"""Seeded outputs of both sampling routes, pinned value for value.
+
+Each route's tally, its draws in sampling order and its raw label matrices
+are fixed by the seed.  A change that moves a route's random stream, or the
+order in which the harness reports what it drew, fails here: such a change
+updates these values and declares the stream change in CHANGES.md.  Values
+are explicit at n = 4 and sha256 digests at n = 8.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from pitmanyor.core import PYParams
+from pitmanyor.crp import sample_label_matrix
+from pitmanyor.harness import run_monte_carlo, sample_partitions
+from pitmanyor.stickbreak import sample_partition_labels_batch
+
+PARAMS = PYParams(1.0, 0.5)
+# two batches, so the pool runs one on each worker and the merge is exercised
+TRIALS = 40_000
+DRAWS_N4 = 40
+LABEL_ROWS = 5000
+
+# every partition of [4] as a restricted growth string, in tally key order
+N4_KEYS = [
+    "0000", "0001", "0010", "0011", "0012", "0100", "0101", "0102",
+    "0110", "0111", "0112", "0120", "0121", "0122", "0123",
+]
+
+COUNTS_N4 = {
+    ("stick", 1729): [3136, 1844, 1921, 610, 2501, 1836, 668, 2516,
+                      579, 1904, 2505, 2449, 2539, 2439, 12553],
+    ("stick", 42): [3118, 1845, 1918, 674, 2452, 1797, 658, 2448,
+                    616, 1862, 2463, 2638, 2494, 2432, 12585],
+    ("crp", 1729): [3203, 1870, 1899, 650, 2436, 1901, 618, 2543,
+                    625, 1853, 2519, 2523, 2448, 2518, 12394],
+    ("crp", 42): [3109, 1877, 1885, 610, 2468, 1874, 634, 2508,
+                  565, 1873, 2523, 2464, 2540, 2580, 12490],
+}
+
+DRAWS_N4_EXPECTED = {
+    ("stick", 1729): "0123 0102 0101 0122 0123 0123 0001 0120 0110 0121 0123 0123 0120 0123 "
+                     "0122 0001 0123 0123 0120 0111 0123 0110 0122 0123 0112 0122 0122 0121 "
+                     "0012 0123 0123 0100 0111 0112 0012 0100 0123 0120 0122 0111",
+    ("stick", 42): "0122 0122 0100 0121 0012 0122 0012 0112 0012 0120 0000 0123 0122 0000 "
+                   "0011 0001 0012 0000 0000 0112 0010 0001 0011 0112 0112 0123 0102 0123 "
+                   "0123 0123 0123 0102 0123 0102 0112 0112 0010 0123 0123 0100",
+    ("crp", 1729): "0123 0112 0000 0122 0102 0000 0111 0123 0010 0001 0110 0112 0000 0123 "
+                   "0121 0121 0001 0102 0123 0123 0000 0120 0123 0112 0102 0000 0123 0123 "
+                   "0121 0000 0000 0010 0121 0010 0010 0123 0000 0100 0111 0010",
+    ("crp", 42): "0110 0120 0123 0102 0121 0011 0111 0101 0000 0123 0123 0000 0000 0123 "
+                 "0122 0010 0123 0012 0123 0122 0011 0123 0121 0123 0012 0123 0010 0102 "
+                 "0102 0112 0100 0123 0001 0102 0121 0123 0000 0123 0123 0012",
+}
+
+COUNTS_N8_SHA = {
+    ("stick", 1729): "966f65d89d8c47d1d598c69ac95048d1b64d884100ded43cfc10cb8c1a3c6ee6",
+    ("stick", 42): "759d04cd84dd12ac54849b091210048b181acb530a4013f11ad5ae45abf24a49",
+    ("crp", 1729): "c09380564d7b2b2d33225a9ecd4746cf435d06e45725476df735efde5fda7117",
+    ("crp", 42): "18aff01094c877e4620cf3ccda6cbf6e78d769c478b9f45397828c0d011aa414",
+}
+
+DRAWS_N8_SHA = {
+    ("stick", 1729): "792601ba7121f1303e98c200886df3ab1c7468ef0f178c4f4b162f261997471b",
+    ("stick", 42): "dce66f5d0356aeca3834ba5727a576f01938083f8a13bd291eeac54b734f3485",
+    ("crp", 1729): "08153f29b31f6caa8fbaa3be4167bd352a34734d72817008d3d7dd9e02e96c57",
+    ("crp", 42): "2df5bc385613e12f85ad89c678f9dddcd207d3b73120fbc6eeae44ebd5f2f776",
+}
+
+# sha256 of the little-endian int64 bytes of a (LABEL_ROWS, 8) label matrix
+LABELS_N8_SHA = {
+    ("stick", 1729): "1623307f344975b8cbbca43bd253640545d4bf5512ff44d1af61ca1ca5cdfaff",
+    ("stick", 42): "29ec746108fbc33d28cd16c625dfecb044de694d254da99d49a09596aee235f8",
+    ("crp", 1729): "599ab1fdd4683b878dde21c83e2e59209e444aacab82da466ad87791fd6e6493",
+    ("crp", 42): "56cd0973d31f03c9049fc066ce43018abcba0ed8d6cf8f902679cbc7024a73f8",
+}
+
+ROUTES = [(sampler, seed) for sampler in ("stick", "crp") for seed in (1729, 42)]
+
+
+def growth_string(partition) -> str:
+    """0-based block index of each element, blocks in least-element order."""
+    z = [0] * partition.n
+    for b, block in enumerate(partition.blocks):
+        for e in block:
+            z[e - 1] = b
+    return "".join(map(str, z))
+
+
+def tally(sampler, n, seed, workers):
+    emp = run_monte_carlo(PARAMS, n, TRIALS, sampler, seed, workers=workers)
+    return [[growth_string(p), c] for p, c in emp.counts.items()]
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sampler, seed", ROUTES)
+def test_counts_n4(sampler, seed, workers):
+    expected = [[key, c] for key, c in zip(N4_KEYS, COUNTS_N4[sampler, seed])]
+    assert tally(sampler, 4, seed, workers) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sampler, seed", ROUTES)
+def test_counts_n8(sampler, seed, workers):
+    assert digest(tally(sampler, 8, seed, workers)) == COUNTS_N8_SHA[sampler, seed]
+
+
+@pytest.mark.parametrize("sampler, seed", ROUTES)
+def test_draws_n4(sampler, seed):
+    draws = sample_partitions(PARAMS, 4, DRAWS_N4, sampler, seed)
+    assert " ".join(map(growth_string, draws)) == DRAWS_N4_EXPECTED[sampler, seed]
+
+
+@pytest.mark.parametrize("sampler, seed", ROUTES)
+def test_draws_n8(sampler, seed):
+    draws = sample_partitions(PARAMS, 8, TRIALS, sampler, seed)
+    assert digest(list(map(growth_string, draws))) == DRAWS_N8_SHA[sampler, seed]
+
+
+@pytest.mark.parametrize("sampler, seed", ROUTES)
+def test_label_matrices_n8(sampler, seed):
+    engine = sample_partition_labels_batch if sampler == "stick" else sample_label_matrix
+    z = engine(PARAMS, 8, LABEL_ROWS, np.random.default_rng(seed))
+    assert z.shape == (LABEL_ROWS, 8)
+    raw = np.ascontiguousarray(z, dtype="<i8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == LABELS_N8_SHA[sampler, seed]
