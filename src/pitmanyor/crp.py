@@ -113,27 +113,27 @@ def sample_label_matrix(
     Returns a (trials, n) integer matrix whose rows are 0-based block labels
     in first-appearance order (a restricted growth string per row).  Trials
     only share the random stream.  crp_sample_partition is row 0 of a
-    one-row call.
+    one-row call.  Trials are seated column-major, as (n, trials), so each
+    step runs down contiguous rows; the result is a transposed view.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     alpha, d = params.alpha, params.d
-    labels = np.zeros((trials, n), dtype=np.int64)
-    counts = np.zeros((trials, n), dtype=float)
-    counts[:, 0] = 1.0
+    labels = np.zeros((n, trials), dtype=np.int64)
+    counts = np.zeros((n, trials), dtype=float)
+    counts[0] = 1.0
     k = np.ones(trials, dtype=np.int64)
-    rows = np.arange(trials)
+    cols = np.arange(trials)
     for i in range(1, n):
-        w = counts[:, : i + 1] - d * (counts[:, : i + 1] > 0)
-        np.put_along_axis(w, k[:, None], (alpha + k * d)[:, None], axis=1)
-        csum = np.cumsum(w, axis=1)
+        w = counts[: i + 1] - d * (counts[: i + 1] > 0)
+        w[k, cols] = alpha + k * d
+        csum = np.cumsum(w, axis=0)
         target = rng.random(trials) * (alpha + i)
-        choice = (csum < target[:, None]).sum(axis=1)
-        np.minimum(choice, k, out=choice)  # guard against rounding past the new-block column
-        opened = choice == k
-        labels[:, i] = choice
-        counts[rows, choice] += 1.0
-        k += opened
-    return labels
+        choice = (csum < target).sum(axis=0)
+        np.minimum(choice, k, out=choice)  # guard against rounding past the new-block row
+        labels[i] = choice
+        counts[choice, cols] += 1.0
+        k += choice == k
+    return labels.T

@@ -11,6 +11,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .core import (
     PYParams,
     _partition_table,
     enumerate_partitions,  # noqa: F401
-    partition_from_allocations,
 )
 from .crp import sample_label_matrix
 from .eppf import MAX_NORMALIZATION_N, _table_probs
@@ -87,20 +87,40 @@ def _partition_codes(z: np.ndarray) -> np.ndarray:
     they give the same partition.
 
     Column j of a row contributes first[j], the first column holding the
-    label of column j, as the j-th base-n digit (most significant first).
-    Label values never enter, so any labels work, and the codes sort like
-    the rows' restricted growth strings.  n <= 10 keeps them below 10^10.
+    label of column j, as the j-th base-n digit (most significant first),
+    found on a column-major copy.  Label values never enter, so any labels
+    work, and the codes sort like the rows' restricted growth strings.
+    n <= 10 keeps them below 10^10.
     """
-    n = z.shape[1]
-    first = (z[:, :, None] == z[:, None, :]).argmax(axis=2)
-    return first @ n ** np.arange(n - 1, -1, -1)
+    cols = np.ascontiguousarray(z.T)
+    codes = np.zeros(len(z), dtype=np.int64)
+    for j, col in enumerate(cols):
+        first = np.full_like(codes, j)
+        for k in range(j - 1, -1, -1):  # the lowest matching column is written last
+            np.copyto(first, k, where=cols[k] == col)
+        codes = codes * len(cols) + first
+    return codes
 
 
-def _code_partitions(codes: np.ndarray, n: int) -> list[Partition]:
-    """Partitions of [n] for codes from `_partition_codes`: the digits of a
-    code are an allocation vector of its partition."""
-    digits = codes[:, None] // n ** np.arange(n - 1, -1, -1) % n + 1
-    return [partition_from_allocations(row) for row in digits.tolist()]
+def _growth_strings(n: int) -> np.ndarray:
+    """Every restricted growth string of length n, one per row, in
+    `_partition_table(n)` order: each prefix is extended by 0..max + 1."""
+    z = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(1, n):
+        width = z.max(axis=1) + 2
+        parent = np.repeat(np.arange(len(z)), width)
+        digit = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        z = np.column_stack([z[parent], digit])
+    return z
+
+
+@lru_cache(maxsize=MAX_NORMALIZATION_N)
+def _table_codes(n: int) -> np.ndarray:
+    """The codes of `_partition_table(n)` in table order, built once per
+    process and read-only; they ascend strictly, as growth strings do."""
+    codes = _partition_codes(_growth_strings(n))
+    codes.flags.writeable = False
+    return codes
 
 
 def _batch_jobs(params, n, trials, sampler, seed):
@@ -137,23 +157,22 @@ def sample_partitions(
     params: PYParams, n: int, trials: int, sampler: str, seed: int
 ) -> list[Partition]:
     """Sampled partitions in sampling order; deterministic for a given seed."""
-    out: list[Partition] = []
-    for job in _batch_jobs(params, n, trials, sampler, seed):
-        codes, inverse = np.unique(_batch_codes(job), return_inverse=True)
-        parts = _code_partitions(codes, n)
-        out.extend(parts[i] for i in inverse.tolist())
-    return out
+    jobs = _batch_jobs(params, n, trials, sampler, seed)
+    codes = np.concatenate([_batch_codes(job) for job in jobs])
+    index = np.searchsorted(_table_codes(n), codes)
+    return list(map(_partition_table(n).__getitem__, index.tolist()))
 
 
 def run_monte_carlo(
     params: PYParams, n: int, trials: int, sampler: str, seed: int, workers: int | None = None
 ) -> EmpiricalPartitionDist:
     """Tabulate sampled partitions of [n]; n is capped so the frequency table
-    stays comparable against exhaustive enumeration.  Keys come in the order
-    of their restricted growth strings.
+    stays comparable against exhaustive enumeration.  Keys are the drawn
+    entries of `_partition_table(n)`, in table order.
 
     Batches are distributed over a process pool (`workers` defaults to the
-    CPU count).  Each batch depends only on its own spawned stream and merge
+    CPU count) and return their codes and counts, which the parent tallies by
+    table index.  Each batch depends only on its own spawned stream and merge
     order is fixed, so the result is identical however batches are scheduled.
     """
     jobs = _batch_jobs(params, n, trials, sampler, seed)
@@ -164,9 +183,11 @@ def run_monte_carlo(
             tallies = list(pool.map(_batch_tally, jobs))
     else:
         tallies = [_batch_tally(job) for job in jobs]
-    codes, inverse = np.unique(np.concatenate([c for c, _ in tallies]), return_inverse=True)
-    totals = np.bincount(inverse, weights=np.concatenate([k for _, k in tallies]))
-    counts = dict(zip(_code_partitions(codes, n), totals.astype(np.int64).tolist()))
+    codes, weights = (np.concatenate(parts) for parts in zip(*tallies))
+    table = _partition_table(n)
+    totals = np.bincount(np.searchsorted(_table_codes(n), codes), weights, len(table))
+    drawn = np.flatnonzero(totals).tolist()
+    counts = dict(zip(map(table.__getitem__, drawn), totals[drawn].astype(np.int64).tolist()))
     return EmpiricalPartitionDist(counts, trials, seed, params, sampler, n)
 
 

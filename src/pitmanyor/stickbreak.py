@@ -142,14 +142,15 @@ def _far_hit_sticks(
 
 def _hit_sizes(d: float, m: int, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """H ~ P(H = h | H >= 1), proportional to C(m, h) (1 - d)_h (b)_(m - h)
-    for h = 1..m, built by the ratio of consecutive weights."""
-    h = np.arange(1, m)
-    ratio = ((m - h) * (h + 1.0 - d) / (h + 1.0)) / (b[:, None] + (m - h - 1.0))
-    weights = np.ones((b.size, m))
-    weights[:, 1:] = np.cumprod(ratio, axis=1)
-    cum = np.cumsum(weights, axis=1)
-    u = rng.random(b.size) * cum[:, -1]
-    return 1 + (cum[:, :-1] <= u[:, None]).sum(axis=1)
+    for h = 1..m, built by the ratio of consecutive weights, held as
+    (m, rows) so the running products and sums go down contiguous rows."""
+    h = np.arange(1, m)[:, None]
+    ratio = ((m - h) * (h + 1.0 - d) / (h + 1.0)) / (b + (m - h - 1.0))
+    cum = np.ones((m, b.size))
+    np.cumprod(ratio, axis=0, out=cum[1:])
+    np.cumsum(cum, axis=0, out=cum)
+    u = rng.random(b.size) * cum[-1]
+    return 1 + (cum[:-1] <= u).sum(axis=0)
 
 
 def _hit_events(

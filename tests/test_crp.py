@@ -142,7 +142,53 @@ class TestSampler:
         assert abs(hits / trials - 0.25) <= 3.5 * se
 
 
+class RecordedUniforms:
+    """Stands in for a Generator: each `random(size)` call draws from the
+    wrapped generator and keeps that step's uniforms."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.steps = []
+
+    def random(self, size):
+        u = self.rng.random(size)
+        self.steps.append(u)
+        return u
+
+
+class ReplayedUniforms:
+    """Hands out one trial's uniforms in order, one per `random()` call, as
+    the scalar seating loop asks for them."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms.tolist())
+
+    def random(self):
+        return next(self.uniforms)
+
+
 class TestBatchSampler:
+    @pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (1e6, 0.5)])
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    @pytest.mark.parametrize("trials", [1, 7, 500])
+    def test_each_row_is_the_seating_loop_fed_its_column(self, alpha, d, n, trials):
+        # row r must seat with column r of every step's uniforms
+        params = PYParams(alpha, d)
+        rng = RecordedUniforms(np.random.default_rng(1000 * n + trials))
+        labels = sample_label_matrix(params, n, trials, rng)
+        assert labels.shape == (trials, n)
+        assert [u.shape for u in rng.steps] == [(trials,)] * (n - 1)
+        uniforms = np.array(rng.steps).reshape(n - 1, trials)
+        for r in range(trials):
+            replay = ReplayedUniforms(uniforms[:, r])
+            want = seat_partition(params, n, replay)
+            assert next(replay.uniforms, None) is None
+            growth = [0] * n
+            for b, block in enumerate(want.blocks):
+                for e in block:
+                    growth[e - 1] = b
+            assert labels[r].tolist() == growth
+
     def test_rows_are_first_appearance_labels(self):
         rng = np.random.default_rng(1)
         labels = sample_label_matrix(PYParams(1.0, 0.5), 8, 500, rng)

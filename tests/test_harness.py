@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pitmanyor.core import Partition, PYParams, enumerate_partitions
+from pitmanyor.core import Partition, PYParams, _partition_table, enumerate_partitions
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import (
     MAX_GROWTH_N,
     EmpiricalPartitionDist,
     _block_counts,
-    _code_partitions,
+    _growth_strings,
     _partition_codes,
+    _table_codes,
     format_partition,
     growth_experiment,
     parse_partition,
@@ -21,6 +22,8 @@ from pitmanyor.harness import (
 )
 
 P = Partition.from_blocks
+
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
 
 def restricted_growth(partition):
@@ -49,9 +52,14 @@ class TestPartitionText:
 
 class TestPartitionCodes:
     def tally(self, z):
+        """Codes of a label matrix and the table partitions they look up."""
         z = np.asarray(z, dtype=np.int64)
+        n = z.shape[1]
         codes = _partition_codes(z)
-        return codes, _code_partitions(codes, z.shape[1])
+        index = np.searchsorted(_table_codes(n), codes)
+        assert (_table_codes(n)[index] == codes).all()
+        table = _partition_table(n)
+        return codes, [table[i] for i in index]
 
     def test_stick_sized_labels_need_no_relabelling(self):
         big = 10**12
@@ -77,6 +85,26 @@ class TestPartitionCodes:
         assert len(set(codes.tolist())) == len(partitions)
         by_code = [parts[i] for i in np.argsort(codes)]
         assert by_code == sorted(partitions, key=restricted_growth)
+
+
+class TestTableCodes:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_growth_strings_are_the_table(self, n):
+        z = _growth_strings(n)
+        assert [restricted_growth(p) for p in _partition_table(n)] == list(map(tuple, z))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_strictly_ascending_and_read_only(self, n):
+        codes = _table_codes(n)
+        assert len(codes) == BELL[n]
+        assert (np.diff(codes) > 0).all()
+        assert not codes.flags.writeable
+        assert _table_codes(n) is codes
+
+    def test_codes_are_the_partition_codes_of_the_table(self):
+        table = _partition_table(6)
+        z = np.array([restricted_growth(p) for p in table]) * 7 + 3
+        assert _partition_codes(z).tolist() == _table_codes(6).tolist()
 
 
 class TestRunMonteCarlo:
