@@ -5,6 +5,8 @@ are what the tests compare the engines against: the stick walk is the only
 code that realizes the paper's stick fractions, and the seating loop applies
 the restaurant rule one observation at a time.  Both are cheap per draw, so
 the frequency tests that take tens of thousands of draws run them.
+`restricted_growth` writes a partition as the first-appearance label string
+that the restaurant sampler returns, for comparing the two.
 """
 
 from bisect import bisect_right
@@ -123,3 +125,12 @@ def seat_partition(params: PYParams, n: int, rng: np.random.Generator) -> Partit
                 sizes[choice] += 1
         labels.append(choice + 1)
     return partition_from_allocations(labels)
+
+
+def restricted_growth(partition: Partition) -> tuple[int, ...]:
+    """0-based block index of each element, blocks in least-element order."""
+    z = [0] * partition.n
+    for b, block in enumerate(partition.blocks):
+        for e in block:
+            z[e - 1] = b
+    return tuple(z)

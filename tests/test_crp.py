@@ -21,7 +21,7 @@ from pitmanyor.crp import (
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import run_monte_carlo, tv_distance
 from pitmanyor.verify import default_parameter_grid
-from reference import seat_partition
+from reference import restricted_growth, seat_partition
 
 P = Partition.from_blocks
 
@@ -183,11 +183,7 @@ class TestBatchSampler:
             replay = ReplayedUniforms(uniforms[:, r])
             want = seat_partition(params, n, replay)
             assert next(replay.uniforms, None) is None
-            growth = [0] * n
-            for b, block in enumerate(want.blocks):
-                for e in block:
-                    growth[e - 1] = b
-            assert labels[r].tolist() == growth
+            assert tuple(labels[r].tolist()) == restricted_growth(want)
 
     def test_rows_are_first_appearance_labels(self):
         rng = np.random.default_rng(1)

@@ -20,19 +20,11 @@ from pitmanyor.harness import (
     sample_partitions,
     tv_distance,
 )
+from reference import restricted_growth
 
 P = Partition.from_blocks
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
-
-
-def restricted_growth(partition):
-    """0-based block index of each element, blocks in least-element order."""
-    z = [0] * partition.n
-    for b, block in enumerate(partition.blocks):
-        for e in block:
-            z[e - 1] = b
-    return tuple(z)
 
 
 class TestPartitionText:
