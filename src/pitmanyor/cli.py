@@ -121,8 +121,6 @@ def _cmd_eppf(args) -> int:
 
 def _cmd_sample(args) -> int:
     params = PYParams(args.alpha, args.d)
-    if args.seed < 0:
-        raise ValueError("seed must be nonnegative")
     base = {
         "command": "sample",
         "method": args.method,
@@ -159,8 +157,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise ValueError("seed must be nonnegative")
     report = run_suite(
         args.suite, alpha=args.alpha, d=args.d, trials=args.trials, seed=args.seed
     )
@@ -173,8 +169,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_growth(args) -> int:
     params = PYParams(args.alpha, args.d)
-    if args.seed < 0:
-        raise ValueError("seed must be nonnegative")
     try:
         grid = [int(tok) for tok in args.ngrid.split(",") if tok.strip()]
     except ValueError:
@@ -217,6 +211,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("seed must be nonnegative")
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,12 +3,15 @@
 Parameter validation, canonical set partitions, log-space rising factorials
 and gamma ratios (one Stirling kernel, also behind the stick engine's hazard)
 and exhaustive partition enumeration.  Everything here is a pure function and
-safe to call from any number of threads; the one cache, the per-n partition
-table, holds immutable partitions that every caller may share.
+safe to call from any number of threads.  The per-n tables are cached and
+immutable, so every caller may share them.  `_growth_strings(n)`, one
+read-only array, fixes the table order and feeds every per-n array of the
+other modules; `_partition_table(n)` is its `Partition` view.
 """
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -235,18 +238,45 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     yield from grow(1)
 
 
-_PARTITION_TABLES: dict[int, tuple[Partition, ...]] = {}
+def _per_n_table(build):
+    """Cache `build(n)` for each n in 1..MAX_NORMALIZATION_N, built on first
+    use and kept for the process.  Any other n, hashable or not, raises the
+    one message every per-n table gives."""
+    tables = {}
 
+    @wraps(build)
+    def table(n):
+        if not isinstance(n, int) or not 1 <= n <= MAX_NORMALIZATION_N:
+            raise ValueError(f"n must be an integer in 1..{MAX_NORMALIZATION_N}, got {n!r}")
+        if n not in tables:
+            tables[n] = build(n)
+        return tables[n]
 
-def _partition_table(n: int) -> tuple[Partition, ...]:
-    """Every partition of [n], in `enumerate_partitions` order, built once per
-    process: the exhaustive sums over the law revisit the same n at every
-    parameter point, and each `Partition` validates itself on construction.
-    The n = 8 table holds about 1.6 MB and the n = 10 one about 52 MB.
-    """
-    if not isinstance(n, int) or not 1 <= n <= MAX_NORMALIZATION_N:
-        raise ValueError(f"n must be an integer in 1..{MAX_NORMALIZATION_N}, got {n!r}")
-    table = _PARTITION_TABLES.get(n)
-    if table is None:
-        table = _PARTITION_TABLES[n] = tuple(enumerate_partitions(n))
     return table
+
+
+@_per_n_table
+def _growth_strings(n: int) -> np.ndarray:
+    """Every restricted growth string of length n, read-only, one row per
+    partition in `enumerate_partitions` order (each prefix is extended by
+    0..max + 1): row r holds the 0-based block of each element of
+    `_partition_table(n)[r]`.  At n = 10 the matrix holds about 9 MB.
+    """
+    z = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(1, n):
+        width = z.max(axis=1) + 2
+        parent = np.repeat(np.arange(len(z)), width)
+        digit = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        z = np.column_stack([z[parent], digit])
+    z.flags.writeable = False
+    return z
+
+
+@_per_n_table
+def _partition_table(n: int) -> tuple[Partition, ...]:
+    """`_growth_strings(n)` as `Partition` objects, in the same order: the
+    keys that `run_monte_carlo`, `sample_partitions` and `tv_distance` hand
+    out.  Each `Partition` validates itself on construction; the n = 8 table
+    holds about 1.6 MB and the n = 10 one about 52 MB.
+    """
+    return tuple(enumerate_partitions(n))

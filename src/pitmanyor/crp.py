@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 
-from .core import LogProb, Partition, PYParams, _partition_table, partition_from_allocations
+from .core import (
+    LogProb, Partition, PYParams, _growth_strings, _per_n_table, partition_from_allocations
+)
 
 __all__ = [
     "crp_sample_partition",
@@ -32,29 +34,17 @@ def crp_sample_partition(params: PYParams, n: int, rng: np.random.Generator) -> 
     return partition_from_allocations((sample_label_matrix(params, n, 1, rng)[0] + 1).tolist())
 
 
-def _seating_events(partition: Partition) -> list[int]:
-    """Event code of each step i = 2..n of seating observations 1..n into
-    their blocks of `partition`: k - 1 when observation i opens block k + 1
-    (k blocks already open), n - 2 + s when it joins a block already holding
-    s.  Each code indexes the numerator table of `_sequential_log_probs`.
-
-    Because canonical blocks are ordered by least element, the canonical block
-    order coincides with opening order along the walk.
+def _seating_codes(z: np.ndarray) -> np.ndarray:
+    """Event code of each step i = 2..n of seating observations 1..n, for
+    each row of a (rows, n) restricted-growth-string matrix z: k - 1 when
+    observation i opens block k + 1 (k blocks already open, so z_i = k),
+    n - 2 + s when it joins a block already holding s.  Each code indexes
+    the numerator table of `_sequential_log_probs`.
     """
-    n = partition.n
-    block_of: dict[int, int] = {}
-    for b, block in enumerate(partition.blocks):
-        for e in block:
-            block_of[e] = b
-    seen_sizes = [0] * partition.num_blocks
-    codes = []
-    for i in range(1, n + 1):
-        b = block_of[i]
-        # the first observation opens its block with probability one
-        if i > 1:
-            codes.append(b - 1 if seen_sizes[b] == 0 else n - 2 + seen_sizes[b])
-        seen_sizes[b] += 1
-    return codes
+    n = z.shape[1]
+    earlier = np.arange(n)[:, None] > np.arange(n)  # [i, j]: j comes before i
+    held = ((z[:, 1:, None] == z[:, None, :]) & earlier[1:]).sum(axis=2)
+    return np.where(held == 0, z[:, 1:] - 1, n - 2 + held)
 
 
 def _sequential_log_probs(params: PYParams, codes: np.ndarray) -> np.ndarray:
@@ -77,21 +67,18 @@ def _sequential_log_probs(params: PYParams, codes: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-_SEATING_CODES: dict[int, np.ndarray] = {}
+@_per_n_table
+def _table_seating_codes(n: int) -> np.ndarray:
+    """The seating codes of `_growth_strings(n)`, read-only."""
+    codes = _seating_codes(_growth_strings(n))
+    codes.flags.writeable = False
+    return codes
 
 
 def _table_sequential_log_probs(params: PYParams, n: int) -> np.ndarray:
     """`sequential_log_prob(params, C)` for every C of `_partition_table(n)`,
-    in table order.  The event codes are built once per process and kept
-    read-only."""
-    table = _partition_table(n)  # validates n
-    codes = _SEATING_CODES.get(n)
-    if codes is None:
-        codes = np.array([_seating_events(C) for C in table], dtype=np.intp)
-        codes = codes.reshape(len(table), n - 1)
-        codes.flags.writeable = False
-        _SEATING_CODES[n] = codes
-    return _sequential_log_probs(params, codes)
+    in table order."""
+    return _sequential_log_probs(params, _table_seating_codes(n))
 
 
 def sequential_log_prob(params: PYParams, partition: Partition) -> LogProb:
@@ -99,10 +86,12 @@ def sequential_log_prob(params: PYParams, partition: Partition) -> LogProb:
     seating observations 1, ..., n into their blocks of `partition`.
 
     A one-row call of the evaluator that `verify` runs over whole partition
-    tables, so the scalar and table values agree bit for bit.
+    tables, on the partition's own growth string, so the scalar and table
+    values agree bit for bit at any n.
     """
-    codes = np.array([_seating_events(partition)], dtype=np.intp)
-    return float(_sequential_log_probs(params, codes)[0])
+    block_of = {e: b for b, block in enumerate(partition.blocks) for e in block}
+    z = np.array([[block_of[e] for e in range(1, partition.n + 1)]], dtype=np.intp)
+    return float(_sequential_log_probs(params, _seating_codes(z))[0])
 
 
 def sample_label_matrix(

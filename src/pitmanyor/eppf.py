@@ -21,7 +21,8 @@ from .core import (
     LogProb,
     Partition,
     PYParams,
-    _partition_table,
+    _growth_strings,
+    _per_n_table,
     log_rising_factorial,
 )
 
@@ -81,34 +82,37 @@ def dp_log_prob(alpha: float, partition: Partition) -> LogProb:
     return _dp_log_prob_from_sizes(alpha, sizes)
 
 
-_PROFILE_INDEX: dict[int, tuple[tuple[tuple[int, ...], ...], np.ndarray]] = {}
-
-
+@_per_n_table
 def _size_profiles(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """The sorted block-size tuples of [n], and for each partition of
     `_partition_table(n)`, in table order, the index of its own tuple.
 
-    Built once per process and read-only: the law depends only on the size
-    profile, so a whole table is evaluated with one law call per profile
-    (p(8) = 22 at n = 8, against 4140 partitions).
+    Read-only: the law depends only on the size profile, so a whole table is
+    evaluated with one law call per profile (p(8) = 22 at n = 8, against
+    4140 partitions).  Each growth string's label counts, sorted with empty
+    labels last as n + 1, compare like the size tuples; read as base-(n + 2)
+    digits, one `np.unique` puts them in tuple order.
     """
-    table = _partition_table(n)  # validates n
-    cached = _PROFILE_INDEX.get(n)
-    if cached is None:
-        keys = [tuple(sorted(C.block_sizes())) for C in table]
-        profiles = tuple(sorted(set(keys)))
-        position = {sizes: i for i, sizes in enumerate(profiles)}
-        index = np.array([position[sizes] for sizes in keys], dtype=np.intp)
-        index.flags.writeable = False
-        cached = _PROFILE_INDEX[n] = (profiles, index)
-    return cached
+    z = _growth_strings(n)
+    sizes = np.stack([(z == b).sum(axis=1) for b in range(n)], axis=1)
+    digits = np.sort(np.where(sizes > 0, sizes, n + 1), axis=1)
+    codes = digits @ (n + 2) ** np.arange(n - 1, -1, -1)
+    _, first, index = np.unique(codes, return_index=True, return_inverse=True)
+    profiles = tuple(tuple(s for s in digits[i].tolist() if s <= n) for i in first)
+    index.flags.writeable = False
+    return profiles, index
+
+
+def _profile_log_probs(params: PYParams, n: int) -> tuple[list[float], np.ndarray]:
+    """The law at each profile of `_size_profiles(n)`, and the table index."""
+    profiles, index = _size_profiles(n)
+    return [_log_prob_from_sizes(params.alpha, params.d, sizes) for sizes in profiles], index
 
 
 def _table_log_probs(params: PYParams, n: int) -> np.ndarray:
     """`eppf_log_prob(params, C)` for every C of `_partition_table(n)`, in
     table order; each entry is bit-identical to the scalar call."""
-    profiles, index = _size_profiles(n)
-    values = [_log_prob_from_sizes(params.alpha, params.d, sizes) for sizes in profiles]
+    values, index = _profile_log_probs(params, n)
     return np.array(values)[index]
 
 
@@ -116,11 +120,8 @@ def _table_probs(params: PYParams, n: int) -> np.ndarray:
     """`math.exp(eppf_log_prob(params, C))` for every C of
     `_partition_table(n)`, in table order, bit-identical to the scalar form
     (numpy's exp may differ from math.exp in the last bit)."""
-    profiles, index = _size_profiles(n)
-    values = [
-        math.exp(_log_prob_from_sizes(params.alpha, params.d, sizes)) for sizes in profiles
-    ]
-    return np.array(values)[index]
+    values, index = _profile_log_probs(params, n)
+    return np.array(list(map(math.exp, values)))[index]
 
 
 def normalization_check(params: PYParams, n: int) -> float:

@@ -11,7 +11,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +19,9 @@ import numpy as np
 from .core import (
     Partition,
     PYParams,
+    _growth_strings,
     _partition_table,
+    _per_n_table,
     enumerate_partitions,  # noqa: F401
 )
 from .crp import sample_label_matrix
@@ -102,22 +103,10 @@ def _partition_codes(z: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _growth_strings(n: int) -> np.ndarray:
-    """Every restricted growth string of length n, one per row, in
-    `_partition_table(n)` order: each prefix is extended by 0..max + 1."""
-    z = np.zeros((1, 1), dtype=np.int64)
-    for _ in range(1, n):
-        width = z.max(axis=1) + 2
-        parent = np.repeat(np.arange(len(z)), width)
-        digit = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
-        z = np.column_stack([z[parent], digit])
-    return z
-
-
-@lru_cache(maxsize=MAX_NORMALIZATION_N)
+@_per_n_table
 def _table_codes(n: int) -> np.ndarray:
-    """The codes of `_partition_table(n)` in table order, built once per
-    process and read-only; they ascend strictly, as growth strings do."""
+    """The codes of `_partition_table(n)` in table order, read-only; they
+    ascend strictly, as growth strings do."""
     codes = _partition_codes(_growth_strings(n))
     codes.flags.writeable = False
     return codes
@@ -205,8 +194,6 @@ def tv_distance(emp: EmpiricalPartitionDist, params: PYParams | None = None) -> 
         raise ValueError(
             f"parameter mismatch: table sampled under {emp.params}, asked for {params}"
         )
-    if emp.n > MAX_NORMALIZATION_N:
-        raise ValueError(f"n must be at most {MAX_NORMALIZATION_N}, got {emp.n}")
     freq = np.array([emp.counts.get(C, 0) for C in _partition_table(emp.n)]) / emp.trials
     # accumulate adds the gaps one at a time in table order, as a loop would
     gap = np.add.accumulate(np.abs(freq - _table_probs(params, emp.n)))[-1]

@@ -97,14 +97,15 @@ def _record(name, passed, **fields):
 # exact / enumeration checks
 
 
-def check_normalization(alpha=None, d=None, **_):
+def _worst_over_grid(name, gap, alpha, d):
+    """One record per grid point: the largest `gap(params, n)` over n = 1..8."""
     max_n = 8
     out = []
     for params in _grid(alpha, d):
-        worst = max(abs(normalization_check(params, n) - 1.0) for n in range(1, max_n + 1))
+        worst = max(gap(params, n) for n in range(1, max_n + 1))
         out.append(
             _record(
-                "eppf_normalization",
+                name,
                 worst <= constants.TOL_EXHAUSTIVE,
                 alpha=params.alpha,
                 d=params.d,
@@ -114,29 +115,20 @@ def check_normalization(alpha=None, d=None, **_):
             )
         )
     return out
+
+
+def check_normalization(alpha=None, d=None, **_):
+    return _worst_over_grid(
+        "eppf_normalization", lambda p, n: abs(normalization_check(p, n) - 1.0), alpha, d
+    )
 
 
 def check_sequential_identity(alpha=None, d=None, **_):
-    max_n = 8
-    out = []
-    for params in _grid(alpha, d):
-        gaps = (
-            _table_sequential_log_probs(params, n) - _table_log_probs(params, n)
-            for n in range(1, max_n + 1)
-        )
-        worst = max(float(np.abs(gap).max()) for gap in gaps)
-        out.append(
-            _record(
-                "sequential_product_identity",
-                worst <= constants.TOL_EXHAUSTIVE,
-                alpha=params.alpha,
-                d=params.d,
-                max_n=max_n,
-                max_abs_error=worst,
-                tolerance=constants.TOL_EXHAUSTIVE,
-            )
-        )
-    return out
+    def gap(params, n):
+        diff = _table_sequential_log_probs(params, n) - _table_log_probs(params, n)
+        return float(np.abs(diff).max())
+
+    return _worst_over_grid("sequential_product_identity", gap, alpha, d)
 
 
 def check_dp_limit(alpha=None, d=None, **_):
@@ -566,6 +558,8 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     if (alpha is None) != (d is None):
         raise ValueError("alpha and d must be given together")
+    if trials < 2:  # the Monte Carlo checks scale by 1/trials and take a ddof=1 spread
+        raise ValueError(f"trials must be >= 2, got {trials}")
     records = []
     for check in checks:
         records.extend(check(alpha=alpha, d=d, trials=trials, seed=seed))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -161,6 +162,18 @@ class TestVerifyCommand:
     def test_alpha_without_d_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "normalization", "--alpha", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("suite", ["equivalence", "lemmaE"])
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_too_few_trials_is_usage_error(self, capsys, suite, trials):
+        # the TV bound divides by trials and the moment check takes a
+        # ddof=1 spread, so fewer than two trials must not reach them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert f"trials must be >= 2, got {trials}" in err
 
 
 class TestGrowthCommand:

@@ -12,6 +12,7 @@ from pitmanyor.core import (
     MAX_NORMALIZATION_N,
     Partition,
     PYParams,
+    _growth_strings,
     _partition_table,
     _stirling_shift,
     enumerate_partitions,
@@ -19,7 +20,10 @@ from pitmanyor.core import (
     log_rising_factorial,
     partition_from_allocations,
 )
-from pitmanyor.eppf import normalization_check
+from pitmanyor.crp import _table_seating_codes
+from pitmanyor.eppf import _size_profiles, normalization_check
+from pitmanyor.harness import _table_codes
+from reference import restricted_growth
 
 
 def bell_numbers(limit):
@@ -149,13 +153,33 @@ class TestPartitionTable:
         assert table == tuple(enumerate_partitions(n))
         assert _partition_table(n) is table
 
-    @pytest.mark.parametrize("n", [0, -1, MAX_NORMALIZATION_N + 1, 2.5, "3"])
-    def test_out_of_range_message_unchanged(self, n):
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_growth_strings_are_the_table(self, n):
+        z = _growth_strings(n)
+        assert [restricted_growth(p) for p in _partition_table(n)] == list(map(tuple, z.tolist()))
+        assert _growth_strings(n) is z
+        assert not z.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _partition_table,
+            _growth_strings,
+            _size_profiles,
+            _table_seating_codes,
+            _table_codes,
+            pytest.param(
+                lambda n: normalization_check(PYParams(1.0, 0.5), n), id="normalization_check"
+            ),
+        ],
+        ids=lambda build: build.__name__,
+    )
+    @pytest.mark.parametrize("n", [0, -1, MAX_NORMALIZATION_N + 1, 2.5, "3", [3]])
+    def test_out_of_range_message_unchanged(self, build, n):
         message = f"n must be an integer in 1..{MAX_NORMALIZATION_N}, got {n!r}"
-        for call in (_partition_table, lambda n: normalization_check(PYParams(1.0, 0.5), n)):
-            with pytest.raises(ValueError) as err:
-                call(n)
-            assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            build(n)
+        assert str(err.value) == message
 
 
 class TestLogRisingFactorial:

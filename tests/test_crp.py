@@ -12,7 +12,7 @@ from pitmanyor.core import (
     partition_from_allocations,
 )
 from pitmanyor.crp import (
-    _SEATING_CODES,
+    _table_seating_codes,
     _table_sequential_log_probs,
     crp_sample_partition,
     sample_label_matrix,
@@ -97,11 +97,22 @@ class TestSequentialTable:
                 assert sequential_log_prob(params, partition) == want
 
     def test_event_codes_built_once_and_read_only(self):
-        _table_sequential_log_probs(PYParams(1.0, 0.5), 5)
-        codes = _SEATING_CODES[5]
+        codes = _table_seating_codes(5)
         _table_sequential_log_probs(PYParams(2.0, 0.1), 5)
-        assert _SEATING_CODES[5] is codes
+        assert _table_seating_codes(5) is codes
         assert not codes.flags.writeable
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_scalar_beyond_the_table(self, n):
+        # past MAX_NORMALIZATION_N the scalar product still runs, on the
+        # partition's own growth string, and matches the per-step loop
+        rng = np.random.default_rng(n)
+        partitions = [P([range(1, n + 1)]), P([[e] for e in range(1, n + 1)])]
+        partitions += [crp_sample_partition(PYParams(1.0, 0.5), n, rng) for _ in range(5)]
+        for params in default_parameter_grid():
+            for partition in partitions:
+                want = sequential_reference(params, partition)
+                assert sequential_log_prob(params, partition) == want
 
 
 class TestSampler:

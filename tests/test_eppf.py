@@ -118,7 +118,7 @@ class TestLawTable:
                 assert value == want
                 assert prob == math.exp(want)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_profiles_built_once_and_read_only(self, n):
         profiles, index = _size_profiles(n)
         assert _size_profiles(n)[1] is index

@@ -10,7 +10,6 @@ from pitmanyor.harness import (
     MAX_GROWTH_N,
     EmpiricalPartitionDist,
     _block_counts,
-    _growth_strings,
     _partition_codes,
     _table_codes,
     format_partition,
@@ -80,11 +79,6 @@ class TestPartitionCodes:
 
 
 class TestTableCodes:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_growth_strings_are_the_table(self, n):
-        z = _growth_strings(n)
-        assert [restricted_growth(p) for p in _partition_table(n)] == list(map(tuple, z.tolist()))
-
     @pytest.mark.parametrize("n", range(1, 11))
     def test_strictly_ascending_and_read_only(self, n):
         codes = _table_codes(n)

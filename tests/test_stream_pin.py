@@ -17,6 +17,7 @@ from pitmanyor.core import PYParams
 from pitmanyor.crp import sample_label_matrix
 from pitmanyor.harness import run_monte_carlo, sample_partitions
 from pitmanyor.stickbreak import sample_partition_labels_batch
+from reference import restricted_growth
 
 PARAMS = PYParams(1.0, 0.5)
 # two batches, so the pool runs one on each worker and the merge is exercised
@@ -82,12 +83,7 @@ ROUTES = [(sampler, seed) for sampler in ("stick", "crp") for seed in (1729, 42)
 
 
 def growth_string(partition) -> str:
-    """0-based block index of each element, blocks in least-element order."""
-    z = [0] * partition.n
-    for b, block in enumerate(partition.blocks):
-        for e in block:
-            z[e - 1] = b
-    return "".join(map(str, z))
+    return "".join(map(str, restricted_growth(partition)))
 
 
 def tally(sampler, n, seed, workers):
