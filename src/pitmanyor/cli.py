@@ -20,6 +20,7 @@ from .constants import DEFAULT_SEED, TV_TRIALS
 from .core import PYParams
 from .eppf import eppf_log_prob
 from .harness import (
+    SAMPLERS,
     format_partition,
     growth_experiment,
     parse_partition,
@@ -42,12 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--alpha", type=float, required=True)
     pe.add_argument("--d", type=float, required=True)
     pe.add_argument("--partition", required=True, help="blocks like '1,3|2'")
-    pe.add_argument("--json", action="store_true", help="JSON output (default)")
     pe.add_argument("--csv", action="store_true", help="CSV output")
     pe.add_argument("--out", help="write output atomically to this path")
 
     ps = sub.add_parser("sample", help="draw partitions of [n]")
-    ps.add_argument("--method", choices=("stick", "crp"), required=True)
+    ps.add_argument("--method", choices=tuple(SAMPLERS), required=True)
     ps.add_argument("--alpha", type=float, required=True)
     ps.add_argument("--d", type=float, required=True)
     ps.add_argument("--n", type=int, required=True)
@@ -93,11 +93,7 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
-def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _cmd_eppf(args) -> int:
+def _cmd_eppf(args) -> tuple:
     params = PYParams(args.alpha, args.d)
     partition = parse_partition(args.partition)
     log_prob = eppf_log_prob(params, partition)
@@ -110,18 +106,13 @@ def _cmd_eppf(args) -> int:
         "log_prob": log_prob,
         "prob": math.exp(log_prob),
     }
-    if args.csv:
-        header = "alpha,d,n,partition,log_prob,prob"
-        row = f"{params.alpha},{params.d},{partition.n},{doc['partition']},{log_prob!r},{doc['prob']!r}"
-        _emit(header + "\n" + row + "\n", args.out)
-    else:
-        _emit(_json_doc(doc), args.out)
-    return 0
+    header = ("alpha", "d", "n", "partition", "log_prob", "prob")
+    return doc, header, [tuple(doc[key] for key in header)]
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple:
     params = PYParams(args.alpha, args.d)
-    base = {
+    doc = {
         "command": "sample",
         "method": args.method,
         "alpha": params.alpha,
@@ -135,39 +126,26 @@ def _cmd_sample(args) -> int:
               file=sys.stderr)
         emp = run_monte_carlo(params, args.n, args.trials, args.method, args.seed)
         table = {format_partition(p): c for p, c in emp.counts.items()}
-        if args.csv:
-            lines = ["partition,count,freq"]
-            lines += [f"{key},{count},{count / args.trials!r}" for key, count in table.items()]
-            _emit("\n".join(lines) + "\n", args.out)
-        else:
-            doc = dict(base)
-            doc["counts"] = table
-            doc["freq"] = {key: count / args.trials for key, count in table.items()}
-            _emit(_json_doc(doc), args.out)
-    else:
-        draws = sample_partitions(params, args.n, args.trials, args.method, args.seed)
-        rendered = [format_partition(p) for p in draws]
-        if args.csv:
-            _emit("partition\n" + "\n".join(rendered) + "\n", args.out)
-        else:
-            doc = dict(base)
-            doc["partitions"] = rendered
-            _emit(_json_doc(doc), args.out)
-    return 0
+        doc["counts"] = table
+        doc["freq"] = {key: count / args.trials for key, count in table.items()}
+        rows = [(key, count, doc["freq"][key]) for key, count in table.items()]
+        return doc, ("partition", "count", "freq"), rows
+    draws = sample_partitions(params, args.n, args.trials, args.method, args.seed)
+    doc["partitions"] = [format_partition(p) for p in draws]
+    return doc, ("partition",), [(key,) for key in doc["partitions"]]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     report = run_suite(
         args.suite, alpha=args.alpha, d=args.d, trials=args.trials, seed=args.seed
     )
     for record in report["checks"]:
         status = "PASS" if record["passed"] else "FAIL"
         print(f"[{status}] {record['name']}", file=sys.stderr)
-    _emit(_json_doc(report), args.out)
-    return 0 if report["passed"] else 1
+    return report, None, None
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args) -> tuple:
     params = PYParams(args.alpha, args.d)
     try:
         grid = [int(tok) for tok in args.ngrid.split(",") if tok.strip()]
@@ -178,24 +156,21 @@ def _cmd_growth(args) -> int:
         {"n": r.n, "mean_kn": r.mean_kn, "se": r.se, "trials": r.trials}
         for r in records
     ]
-    if args.csv:
-        lines = ["n,mean_kn,se,trials"]
-        lines += [f"{r['n']},{r['mean_kn']!r},{r['se']!r},{r['trials']}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        doc = {
-            "command": "growth",
-            "alpha": params.alpha,
-            "d": params.d,
-            "trials": args.trials,
-            "seed": args.seed,
-            "records": rows,
-            "exponent": exponent,
-        }
-        _emit(_json_doc(doc), args.out)
-    return 0
+    doc = {
+        "command": "growth",
+        "alpha": params.alpha,
+        "d": params.d,
+        "trials": args.trials,
+        "seed": args.seed,
+        "records": rows,
+        "exponent": exponent,
+    }
+    header = ("n", "mean_kn", "se", "trials")
+    return doc, header, [tuple(row[key] for key in header) for row in rows]
 
 
+# each handler returns its JSON document and, for --csv, a header and rows;
+# cli_main renders and writes the one output
 _HANDLERS = {
     "eppf": _cmd_eppf,
     "sample": _cmd_sample,
@@ -213,10 +188,17 @@ def cli_main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("seed must be nonnegative")
-        return _HANDLERS[args.command](args)
-    except ValueError as exc:
+        doc, header, rows = _HANDLERS[args.command](args)
+        if getattr(args, "csv", False):
+            text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+        else:
+            text = json.dumps(doc, indent=2) + "\n"
+        _emit(text, args.out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # only a verify report carries "passed"
+    return 0 if doc.get("passed", True) else 1
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ other modules; `_partition_table(n)` is its `Partition` view.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import wraps
 from typing import Iterator, Sequence
@@ -216,10 +217,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     representatives directly.  Lazily evaluated; each iterator instance is
     single-consumer.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_ENUMERATION_N:
-        raise ValueError(
-            f"n must be an integer in 1..{MAX_ENUMERATION_N}, got {n!r}"
-        )
+    n = _checked_n(n, MAX_ENUMERATION_N)
 
     blocks: list[list[int]] = []
 
@@ -238,6 +236,18 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     yield from grow(1)
 
 
+def _checked_n(n, top: int) -> int:
+    """n as a plain int, read through `operator.index` so numpy integers
+    pass; anything else, or a value outside 1..top, raises the one message."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        value = 0
+    if not 1 <= value <= top:
+        raise ValueError(f"n must be an integer in 1..{top}, got {n!r}")
+    return value
+
+
 def _per_n_table(build):
     """Cache `build(n)` for each n in 1..MAX_NORMALIZATION_N, built on first
     use and kept for the process.  Any other n, hashable or not, raises the
@@ -246,8 +256,7 @@ def _per_n_table(build):
 
     @wraps(build)
     def table(n):
-        if not isinstance(n, int) or not 1 <= n <= MAX_NORMALIZATION_N:
-            raise ValueError(f"n must be an integer in 1..{MAX_NORMALIZATION_N}, got {n!r}")
+        n = _checked_n(n, MAX_NORMALIZATION_N)
         if n not in tables:
             tables[n] = build(n)
         return tables[n]

@@ -8,6 +8,7 @@ or on a process pool.
 """
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .core import (
     enumerate_partitions,  # noqa: F401
 )
 from .crp import sample_label_matrix
-from .eppf import MAX_NORMALIZATION_N, _table_probs
+from .eppf import _table_probs
 from .stickbreak import sample_partition_labels_batch
 
 __all__ = [
@@ -41,7 +42,9 @@ __all__ = [
     "MAX_GROWTH_N",
 ]
 
-SAMPLERS = ("stick", "crp")
+# every sampler takes (params, n, trials, rng) and returns a (trials, n)
+# label matrix whose equality pattern in each row is one partition
+SAMPLERS = {"stick": sample_partition_labels_batch, "crp": sample_label_matrix}
 BATCH_TRIALS = 1 << 15
 MAX_GROWTH_N = 100_000
 
@@ -113,11 +116,14 @@ def _table_codes(n: int) -> np.ndarray:
 
 
 def _batch_jobs(params, n, trials, sampler, seed):
-    """One job per batch of the plan, each with its own spawned stream."""
+    """One job per batch of the plan, each with its own spawned stream.
+
+    The whole request is checked before any draw.  `_table_codes(n)` checks
+    n and builds the table the batches look up, before a pool forks.
+    """
     if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
-    if n > MAX_NORMALIZATION_N:
-        raise ValueError(f"n must be at most {MAX_NORMALIZATION_N}, got {n}")
+        raise ValueError(f"sampler must be one of {tuple(SAMPLERS)}, got {sampler!r}")
+    _table_codes(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_batches = -(-trials // BATCH_TRIALS)
@@ -127,19 +133,14 @@ def _batch_jobs(params, n, trials, sampler, seed):
     return [(params, n, size, sampler, child) for child, size in zip(children, sizes)]
 
 
-def _batch_codes(job) -> np.ndarray:
-    """Partition codes of one batch, sampled from the batch's own stream."""
+def _batch_index(job) -> np.ndarray:
+    """`_partition_table(n)` indices of one batch's partitions, sampled from
+    the batch's own stream.  Each distinct code is searched once: a binary
+    search per row costs more than the sort `np.unique` runs."""
     params, n, size, sampler, child = job
-    rng = np.random.default_rng(child)
-    if sampler == "stick":
-        labels = sample_partition_labels_batch(params, n, size, rng)
-    else:
-        labels = sample_label_matrix(params, n, size, rng)
-    return _partition_codes(labels)
-
-
-def _batch_tally(job):
-    return np.unique(_batch_codes(job), return_counts=True)
+    labels = SAMPLERS[sampler](params, n, size, np.random.default_rng(child))
+    codes, inverse = np.unique(_partition_codes(labels), return_inverse=True)
+    return np.searchsorted(_table_codes(n), codes)[inverse]
 
 
 def sample_partitions(
@@ -147,8 +148,7 @@ def sample_partitions(
 ) -> list[Partition]:
     """Sampled partitions in sampling order; deterministic for a given seed."""
     jobs = _batch_jobs(params, n, trials, sampler, seed)
-    codes = np.concatenate([_batch_codes(job) for job in jobs])
-    index = np.searchsorted(_table_codes(n), codes)
+    index = np.concatenate([_batch_index(job) for job in jobs])
     return list(map(_partition_table(n).__getitem__, index.tolist()))
 
 
@@ -160,23 +160,22 @@ def run_monte_carlo(
     entries of `_partition_table(n)`, in table order.
 
     Batches are distributed over a process pool (`workers` defaults to the
-    CPU count) and return their codes and counts, which the parent tallies by
-    table index.  Each batch depends only on its own spawned stream and merge
-    order is fixed, so the result is identical however batches are scheduled.
+    CPU count) and return their table indices, which the parent counts.  Each
+    batch depends only on its own spawned stream and merge order is fixed, so
+    the result is identical however batches are scheduled.
     """
     jobs = _batch_jobs(params, n, trials, sampler, seed)
     if workers is None:
         workers = min(os.cpu_count() or 1, len(jobs))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(_batch_tally, jobs))
+            indices = list(pool.map(_batch_index, jobs))
     else:
-        tallies = [_batch_tally(job) for job in jobs]
-    codes, weights = (np.concatenate(parts) for parts in zip(*tallies))
+        indices = map(_batch_index, jobs)
     table = _partition_table(n)
-    totals = np.bincount(np.searchsorted(_table_codes(n), codes), weights, len(table))
+    totals = sum(np.bincount(index, minlength=len(table)) for index in indices)
     drawn = np.flatnonzero(totals).tolist()
-    counts = dict(zip(map(table.__getitem__, drawn), totals[drawn].astype(np.int64).tolist()))
+    counts = dict(zip(map(table.__getitem__, drawn), totals[drawn].tolist()))
     return EmpiricalPartitionDist(counts, trials, seed, params, sampler, n)
 
 
@@ -270,8 +269,11 @@ def growth_experiment(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    grid = list(n_grid)
-    if len(grid) < 1 or any(not isinstance(v, int) or v < 1 for v in grid):
+    try:
+        grid = list(map(operator.index, n_grid))
+    except TypeError:
+        grid = []
+    if not grid or min(grid) < 1:
         raise ValueError(f"degenerate grid {n_grid!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"grid must be strictly increasing, got {n_grid!r}")

@@ -165,6 +165,10 @@ def _hit_events(
     (full_labels, inf past the float range) or the hits' ordinals, which
     give the same partition.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     alpha, d = params.alpha, params.d
     remaining = np.full(trials, n)
     start = np.ones(trials)
@@ -218,10 +222,6 @@ def sample_allocations_batch(
     partition the labels induce does not depend on that placement.  Use
     sample_partition_labels_batch when only the partition matters.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     z = _hit_events(params, n, trials, rng, True)
     if z.max() > _MAX_LABEL:
         raise OverflowError(
@@ -246,10 +246,6 @@ def sample_partition_labels_batch(
     stick lies (at d = 0.9 most of the tail is beyond 2^53).  Only the
     equality pattern of the returned labels is meaningful.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     return _hit_events(params, n, trials, rng, False).astype(np.int64)
 
 

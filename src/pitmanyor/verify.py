@@ -30,7 +30,7 @@ from . import constants
 from .core import PYParams, _partition_table
 from .crp import _table_sequential_log_probs
 from .eppf import _size_profiles, _table_log_probs, _table_probs, normalization_check
-from .harness import growth_experiment, run_monte_carlo, tv_distance
+from .harness import SAMPLERS, growth_experiment, run_monte_carlo, tv_distance
 from .marginal import (
     allocation_log_prob,
     allocation_stats,
@@ -200,7 +200,7 @@ def check_sampler_law_tv(sampler, alpha=None, d=None, trials=constants.TV_TRIALS
 def check_sampling_determinism(seed=constants.DEFAULT_SEED, **_):
     params = PYParams(1.0, 0.5)
     out = []
-    for sampler in ("stick", "crp"):
+    for sampler in SAMPLERS:
         first = run_monte_carlo(params, 4, 20_000, sampler, seed)
         second = run_monte_carlo(params, 4, 20_000, sampler, seed)
         out.append(

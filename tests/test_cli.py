@@ -221,12 +221,48 @@ class TestUsageErrors:
         assert run_cli(capsys, "--help")[0] == 0
 
 
+# every command and output format, each small and seeded
+EMITTED = {
+    "eppf-json": ["eppf", "--alpha", "1", "--d", "0.5", "--partition", "1,2|3"],
+    "eppf-csv": ["eppf", "--alpha", "1", "--d", "0.5", "--partition", "1,2|3", "--csv"],
+    "sample-json": ["sample", "--method", "stick", "--alpha", "1", "--d", "0.5", "--n", "4",
+                    "--trials", "20"],
+    "sample-csv": ["sample", "--method", "crp", "--alpha", "1", "--d", "0.5", "--n", "4",
+                   "--trials", "20", "--csv"],
+    "tabulate-json": ["sample", "--method", "crp", "--alpha", "1", "--d", "0.5", "--n", "4",
+                      "--trials", "200", "--tabulate"],
+    "tabulate-csv": ["sample", "--method", "stick", "--alpha", "1", "--d", "0.5", "--n", "4",
+                     "--trials", "200", "--tabulate", "--csv"],
+    "growth-json": ["growth", "--alpha", "1", "--d", "0.5", "--ngrid", "10,100", "--trials", "20"],
+    "growth-csv": ["growth", "--alpha", "1", "--d", "0.5", "--ngrid", "10,100", "--trials", "20",
+                   "--csv"],
+    "verify-json": ["verify", "--suite", "lemmaC"],
+}
+
+
 class TestAtomicOutput:
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        argv = ["eppf", "--alpha", "1", "--d", "0.5", "--partition", "1,2|3"]
+    @pytest.mark.parametrize("case", EMITTED)
+    def test_out_file_matches_stdout(self, capsys, tmp_path, case):
+        target = tmp_path / "report.out"
+        argv = EMITTED[case]
         _, stdout_doc, _ = run_cli(capsys, *argv)
         code, out, _ = run_cli(capsys, *argv, "--out", str(target))
         assert code == 0
         assert out == ""  # document went to the file instead
         assert target.read_text() == stdout_doc
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        # exit 1 means a failed verification, so a bad path must exit 2
+        if where == "directory":
+            target = tmp_path / "taken"
+            target.mkdir()
+        else:
+            target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "eppf", "--alpha", "1", "--d", "0.5", "--partition", "1", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert list(tmp_path.rglob(".pitmanyor-*")) == []

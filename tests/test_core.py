@@ -145,6 +145,26 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_partitions(n))
 
+    def test_numpy_integer_n(self):
+        assert list(enumerate_partitions(np.int64(4))) == list(enumerate_partitions(4))
+
+
+# the five cached per-n builders and normalization_check, which share one n check
+PER_N_ENTRY_POINTS = pytest.mark.parametrize(
+    "build",
+    [
+        _partition_table,
+        _growth_strings,
+        _size_profiles,
+        _table_seating_codes,
+        _table_codes,
+        pytest.param(
+            lambda n: normalization_check(PYParams(1.0, 0.5), n), id="normalization_check"
+        ),
+    ],
+    ids=lambda build: build.__name__,
+)
+
 
 class TestPartitionTable:
     @pytest.mark.parametrize("n", range(1, 9))
@@ -160,20 +180,14 @@ class TestPartitionTable:
         assert _growth_strings(n) is z
         assert not z.flags.writeable
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            _partition_table,
-            _growth_strings,
-            _size_profiles,
-            _table_seating_codes,
-            _table_codes,
-            pytest.param(
-                lambda n: normalization_check(PYParams(1.0, 0.5), n), id="normalization_check"
-            ),
-        ],
-        ids=lambda build: build.__name__,
-    )
+    @PER_N_ENTRY_POINTS
+    def test_numpy_integer_n(self, build):
+        # a cached table is the same object, normalization_check the same float
+        for n in (1, 4):
+            first, second = build(np.int64(n)), build(n)
+            assert first is second or first == second
+
+    @PER_N_ENTRY_POINTS
     @pytest.mark.parametrize("n", [0, -1, MAX_NORMALIZATION_N + 1, 2.5, "3", [3]])
     def test_out_of_range_message_unchanged(self, build, n):
         message = f"n must be an integer in 1..{MAX_NORMALIZATION_N}, got {n!r}"

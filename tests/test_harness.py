@@ -8,6 +8,7 @@ from pitmanyor.core import Partition, PYParams, _partition_table, enumerate_part
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import (
     MAX_GROWTH_N,
+    SAMPLERS,
     EmpiricalPartitionDist,
     _block_counts,
     _partition_codes,
@@ -127,6 +128,49 @@ class TestRunMonteCarlo:
     def test_bad_sampler(self):
         with pytest.raises(ValueError):
             run_monte_carlo(PYParams(1.0, 0.5), 3, 10, "bogus", 0)
+
+
+class Drew(Exception):
+    """Raised by the spy samplers: the request reached a draw."""
+
+
+class TestRequestChecks:
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+
+        def sampler(*args):
+            calls.append(args)
+            raise Drew
+
+        for name in SAMPLERS:
+            monkeypatch.setitem(SAMPLERS, name, sampler)
+        return calls
+
+    @pytest.mark.parametrize("run", [run_monte_carlo, sample_partitions])
+    @pytest.mark.parametrize(
+        "n, trials, sampler",
+        [(0, 10, "stick"), (11, 10, "crp"), (2.5, 10, "stick"), (4, 0, "crp"), (4, 10, "bogus")],
+    )
+    def test_bad_request_fails_before_any_draw(self, spy, run, n, trials, sampler):
+        with pytest.raises(ValueError):
+            run(PYParams(1.0, 0.5), n, trials, sampler, 0)
+        assert spy == []
+
+    @pytest.mark.parametrize("run", [run_monte_carlo, sample_partitions])
+    @pytest.mark.parametrize("sampler", ["stick", "crp"])
+    def test_good_request_reaches_the_registry(self, spy, run, sampler):
+        with pytest.raises(Drew):
+            run(PYParams(1.0, 0.5), 4, 10, sampler, 0)
+        assert len(spy) == 1
+
+    @pytest.mark.parametrize("sampler", ["stick", "crp"])
+    def test_numpy_integer_n(self, sampler):
+        params = PYParams(1.0, 0.5)
+        emp = run_monte_carlo(params, np.int64(4), 500, sampler, 5)
+        assert emp.counts == run_monte_carlo(params, 4, 500, sampler, 5).counts
+        draws = sample_partitions(params, np.int64(4), 50, sampler, 5)
+        assert draws == sample_partitions(params, 4, 50, sampler, 5)
 
 
 class TestSamplePartitions:
@@ -389,6 +433,11 @@ class TestGrowthExperiment:
     def test_degenerate_grids(self, grid):
         with pytest.raises(ValueError):
             growth_experiment(PYParams(1.0, 0.5), grid, 10, 0)
+
+    def test_numpy_integer_grid(self):
+        records, exponent = growth_experiment(PYParams(1.0, 0.5), list(np.array([10, 100])), 5, 1)
+        assert (records, exponent) == growth_experiment(PYParams(1.0, 0.5), [10, 100], 5, 1)
+        assert [type(r.n) for r in records] == [int, int]
 
     def test_determinism(self):
         a = growth_experiment(PYParams(1.0, 0.5), [10, 100], 50, 3)

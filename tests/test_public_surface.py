@@ -1,7 +1,11 @@
 """The package's exported names and the README's library example."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import pitmanyor
 
@@ -10,6 +14,17 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_every_exported_name_resolves():
     missing = [name for name in pitmanyor.__all__ if not hasattr(pitmanyor, name)]
+    assert missing == []
+
+
+# __main__ would run the command line on import
+MODULES = [m.name for m in pkgutil.iter_modules(pitmanyor.__path__) if m.name != "__main__"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_export_resolves(module):
+    mod = importlib.import_module(f"pitmanyor.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
 
 

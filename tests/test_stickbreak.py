@@ -180,6 +180,15 @@ def allocation_prob(params, z):
 
 
 class TestHitEventEngine:
+    @pytest.mark.parametrize("sampler", [sample_allocations_batch, sample_partition_labels_batch])
+    @pytest.mark.parametrize(
+        "n, trials, message", [(0, 5, "n must be >= 1, got 0"), (3, 0, "trials must be >= 1, got 0")]
+    )
+    def test_batch_samplers_check_the_request(self, sampler, n, trials, message):
+        with pytest.raises(ValueError) as err:
+            sampler(PYParams(1.0, 0.5), n, trials, np.random.default_rng(0))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (-0.3, 0.9), (1.0, 0.0)])
     @pytest.mark.parametrize("n", [2, 3])
     def test_labels_match_allocation_marginal(self, alpha, d, n):
