@@ -87,6 +87,9 @@ def _emit(text: str, out_path: str | None) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            umask = os.umask(0)  # mkstemp made the file 0600; give it open()'s mode
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp, out_path)
     except BaseException:
         os.unlink(tmp)

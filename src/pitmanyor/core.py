@@ -6,7 +6,8 @@ and exhaustive partition enumeration.  Everything here is a pure function and
 safe to call from any number of threads.  The per-n tables are cached and
 immutable, so every caller may share them.  `_growth_strings(n)`, one
 read-only array, fixes the table order and feeds every per-n array of the
-other modules; `_partition_table(n)` is its `Partition` view.
+other modules; `_partition_table(n)` is its `Partition` view, and
+`_table_index` maps any label matrix's rows back to their table rows.
 """
 
 import math
@@ -279,6 +280,33 @@ def _growth_strings(n: int) -> np.ndarray:
         z = np.column_stack([z[parent], digit])
     z.flags.writeable = False
     return z
+
+
+def _table_index(z) -> np.ndarray:
+    """The `_growth_strings(n)` row of each row's partition in a (rows, n)
+    integer label matrix; only equal labels matter, not their values.
+
+    Column j's growth digit is the block of an earlier column with its label,
+    or else the next block; rows are in lexicographic order, so it adds
+    digit * W(n-1-j, m), with m blocks open before column j and
+    W(r, m) = m W(r-1, m) + W(r-1, m+1) completions of r more elements.
+    Bell(25) < 2^63, so the index fits int64 up to n = 25.
+    """
+    cols = np.ascontiguousarray(np.asarray(z).T)
+    n, rows = cols.shape
+    w = np.ones((n, n + 1), dtype=np.int64)  # w[r, m] = W(r, m) wherever m + r < n
+    for r in range(1, n):
+        w[r, :-1] = np.arange(n) * w[r - 1, :-1] + w[r - 1, 1:]
+    digits = np.zeros((n, rows), dtype=np.int8)
+    blocks = np.ones(rows, dtype=np.intp)
+    index = np.zeros(rows, dtype=np.int64)
+    for j, digit in enumerate(digits[1:], start=1):
+        digit[:] = blocks
+        for k in range(j):  # arithmetic, not a masked copy: no branch per row
+            digit += (cols[k] == cols[j]) * (digits[k] - digit)
+        index += w[n - 1 - j][blocks] * digit
+        blocks += digit == blocks
+    return index
 
 
 @_per_n_table

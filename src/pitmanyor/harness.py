@@ -18,11 +18,12 @@ import numpy as np
 # enumerate_partitions stays importable from here: the benchmark's worker
 # reads harness.enumerate_partitions
 from .core import (
+    MAX_NORMALIZATION_N,
     Partition,
     PYParams,
-    _growth_strings,
+    _checked_n,
     _partition_table,
-    _per_n_table,
+    _table_index,
     enumerate_partitions,  # noqa: F401
 )
 from .crp import sample_label_matrix
@@ -86,44 +87,14 @@ class EmpiricalPartitionDist:
         return self.counts.get(partition, 0) / self.trials
 
 
-def _partition_codes(z: np.ndarray) -> np.ndarray:
-    """One int64 per row of a label matrix, equal for two rows exactly when
-    they give the same partition.
-
-    Column j of a row contributes first[j], the first column holding the
-    label of column j, as the j-th base-n digit (most significant first),
-    found on a column-major copy.  Label values never enter, so any labels
-    work, and the codes sort like the rows' restricted growth strings.
-    n <= 10 keeps them below 10^10.
-    """
-    cols = np.ascontiguousarray(z.T)
-    codes = np.zeros(len(z), dtype=np.int64)
-    for j, col in enumerate(cols):
-        first = np.full_like(codes, j)
-        for k in range(j - 1, -1, -1):  # the lowest matching column is written last
-            np.copyto(first, k, where=cols[k] == col)
-        codes = codes * len(cols) + first
-    return codes
-
-
-@_per_n_table
-def _table_codes(n: int) -> np.ndarray:
-    """The codes of `_partition_table(n)` in table order, read-only; they
-    ascend strictly, as growth strings do."""
-    codes = _partition_codes(_growth_strings(n))
-    codes.flags.writeable = False
-    return codes
-
-
 def _batch_jobs(params, n, trials, sampler, seed):
     """One job per batch of the plan, each with its own spawned stream.
 
-    The whole request is checked before any draw.  `_table_codes(n)` checks
-    n and builds the table the batches look up, before a pool forks.
+    The whole request is checked before any draw; a job needs no table.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {tuple(SAMPLERS)}, got {sampler!r}")
-    _table_codes(n)
+    n = _checked_n(n, MAX_NORMALIZATION_N)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_batches = -(-trials // BATCH_TRIALS)
@@ -134,13 +105,10 @@ def _batch_jobs(params, n, trials, sampler, seed):
 
 
 def _batch_index(job) -> np.ndarray:
-    """`_partition_table(n)` indices of one batch's partitions, sampled from
-    the batch's own stream.  Each distinct code is searched once: a binary
-    search per row costs more than the sort `np.unique` runs."""
+    """`_partition_table(n)` indices of one batch's partitions: the label
+    rows drawn from the batch's own stream, ranked by `_table_index`."""
     params, n, size, sampler, child = job
-    labels = SAMPLERS[sampler](params, n, size, np.random.default_rng(child))
-    codes, inverse = np.unique(_partition_codes(labels), return_inverse=True)
-    return np.searchsorted(_table_codes(n), codes)[inverse]
+    return _table_index(SAMPLERS[sampler](params, n, size, np.random.default_rng(child)))
 
 
 def sample_partitions(
@@ -159,10 +127,10 @@ def run_monte_carlo(
     stays comparable against exhaustive enumeration.  Keys are the drawn
     entries of `_partition_table(n)`, in table order.
 
-    Batches are distributed over a process pool (`workers` defaults to the
-    CPU count) and return their table indices, which the parent counts.  Each
-    batch depends only on its own spawned stream and merge order is fixed, so
-    the result is identical however batches are scheduled.
+    Batches run on a process pool (`workers` defaults to the CPU count) and
+    return their rows' growth-string ranks, the table indices the parent
+    counts.  Each batch depends only on its own spawned stream and merge
+    order is fixed, so the result is identical however batches are scheduled.
     """
     jobs = _batch_jobs(params, n, trials, sampler, seed)
     if workers is None:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import warnings
 
 import pytest
@@ -250,6 +252,19 @@ class TestAtomicOutput:
         assert code == 0
         assert out == ""  # document went to the file instead
         assert target.read_text() == stdout_doc
+
+    def test_out_file_gets_the_mode_open_would_give(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        previous = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(
+                capsys, "eppf", "--alpha", "1", "--d", "0.5", "--partition", "1", "--out",
+                str(target),
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):

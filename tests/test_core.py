@@ -15,6 +15,7 @@ from pitmanyor.core import (
     _growth_strings,
     _partition_table,
     _stirling_shift,
+    _table_index,
     enumerate_partitions,
     log_gamma_ratio,
     log_rising_factorial,
@@ -22,8 +23,9 @@ from pitmanyor.core import (
 )
 from pitmanyor.crp import _table_seating_codes
 from pitmanyor.eppf import _size_profiles, normalization_check
-from pitmanyor.harness import _table_codes
 from reference import restricted_growth
+
+P = Partition.from_blocks
 
 
 def bell_numbers(limit):
@@ -149,7 +151,7 @@ class TestEnumeration:
         assert list(enumerate_partitions(np.int64(4))) == list(enumerate_partitions(4))
 
 
-# the five cached per-n builders and normalization_check, which share one n check
+# the four cached per-n builders and normalization_check, which share one n check
 PER_N_ENTRY_POINTS = pytest.mark.parametrize(
     "build",
     [
@@ -157,7 +159,6 @@ PER_N_ENTRY_POINTS = pytest.mark.parametrize(
         _growth_strings,
         _size_profiles,
         _table_seating_codes,
-        _table_codes,
         pytest.param(
             lambda n: normalization_check(PYParams(1.0, 0.5), n), id="normalization_check"
         ),
@@ -194,6 +195,76 @@ class TestPartitionTable:
         with pytest.raises(ValueError) as err:
             build(n)
         assert str(err.value) == message
+
+
+# stick labels reach about 2^53; 2^53 + 1 and 2^53 would merge as floats
+HUGE = 2**53
+
+
+def equality_pattern(z):
+    z = np.asarray(z)
+    return z[:, :, None] == z[:, None, :]
+
+
+class TestTableIndex:
+    def rows(self, z):
+        """`_table_index` of a label matrix and the table partitions it names."""
+        z = np.asarray(z, dtype=np.int64)
+        index = _table_index(z)
+        table = _partition_table(z.shape[1])
+        return index, [table[i] for i in index]
+
+    def test_stick_sized_labels_need_no_relabelling(self):
+        big = 10**12
+        _, parts = self.rows([[big, big + 4, big, 3], [7, 7, 7, 7], [1, big, 2, big]])
+        assert parts == [P([[1, 3], [2], [4]]), P([[1, 2, 3, 4]]), P([[1], [2, 4], [3]])]
+
+    def test_ten_distinct_labels_give_the_last_row(self):
+        # read against the growth strings: the n = 10 `Partition` table is not built
+        row = [10**12 - 7 * j for j in range(10)]
+        index = _table_index(np.array([row, [3] * 10], dtype=np.int64))
+        assert index.tolist() == [bell_numbers(10)[10] - 1, 0] == [115_974, 0]
+        assert _growth_strings(10)[index].tolist() == [list(range(10)), [0] * 10]
+
+    def test_single_element(self):
+        index, parts = self.rows([[4], [10**12]])
+        assert index.tolist() == [0, 0]
+        assert parts == [P([[1]]), P([[1]])]
+
+    def test_scaled_restricted_growth_strings_give_enumeration_order(self):
+        partitions = list(enumerate_partitions(5))
+        z = np.array([restricted_growth(p) for p in partitions]) * 10**9 + 11
+        index, parts = self.rows(z)
+        assert index.tolist() == list(range(len(partitions)))
+        assert parts == partitions
+
+    @pytest.mark.parametrize("n", range(1, MAX_NORMALIZATION_N + 1))
+    def test_inverts_the_growth_strings(self, n):
+        index = _table_index(_growth_strings(n))
+        assert index.tolist() == list(range(bell_numbers(n)[n]))
+
+    @given(
+        rows=st.integers(min_value=1, max_value=MAX_NORMALIZATION_N).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.integers(min_value=0, max_value=3),
+                        st.integers(min_value=HUGE - 2, max_value=HUGE + 2),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_has_the_equality_pattern_of_its_labels(self, rows):
+        z = np.array(rows, dtype=np.int64)
+        index = _table_index(z)
+        growth = _growth_strings(z.shape[1])[index]
+        assert (equality_pattern(growth) == equality_pattern(z)).all()
 
 
 class TestLogRisingFactorial:

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pitmanyor.core import Partition, PYParams, _partition_table, enumerate_partitions
+from pitmanyor.core import Partition, PYParams, enumerate_partitions
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import (
     MAX_GROWTH_N,
     SAMPLERS,
     EmpiricalPartitionDist,
     _block_counts,
-    _partition_codes,
-    _table_codes,
     format_partition,
     growth_experiment,
     parse_partition,
@@ -23,8 +21,6 @@ from pitmanyor.harness import (
 from reference import restricted_growth
 
 P = Partition.from_blocks
-
-BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
 
 class TestPartitionText:
@@ -40,53 +36,6 @@ class TestPartitionText:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_partition(text)
-
-
-class TestPartitionCodes:
-    def tally(self, z):
-        """Codes of a label matrix and the table partitions they look up."""
-        z = np.asarray(z, dtype=np.int64)
-        n = z.shape[1]
-        codes = _partition_codes(z)
-        index = np.searchsorted(_table_codes(n), codes)
-        assert (_table_codes(n)[index] == codes).all()
-        table = _partition_table(n)
-        return codes, [table[i] for i in index]
-
-    def test_stick_sized_labels_need_no_relabelling(self):
-        big = 10**12
-        _, parts = self.tally([[big, big + 4, big, 3], [7, 7, 7, 7], [1, big, 2, big]])
-        assert parts == [P([[1, 3], [2], [4]]), P([[1, 2, 3, 4]]), P([[1], [2, 4], [3]])]
-
-    def test_ten_distinct_labels_give_the_largest_code(self):
-        row = [10**12 - 7 * j for j in range(10)]
-        codes, parts = self.tally([row, [3] * 10])
-        assert codes.tolist() == [123_456_789, 0]
-        assert parts == [P([[i] for i in range(1, 11)]), P([list(range(1, 11))])]
-
-    def test_single_element(self):
-        codes, parts = self.tally([[4], [10**12]])
-        assert codes.tolist() == [0, 0]
-        assert parts == [P([[1]]), P([[1]])]
-
-    def test_codes_sort_like_restricted_growth_strings(self):
-        partitions = list(enumerate_partitions(5))
-        z = np.array([restricted_growth(p) for p in partitions]) * 10**9 + 11
-        codes, parts = self.tally(z)
-        assert parts == partitions
-        assert len(set(codes.tolist())) == len(partitions)
-        by_code = [parts[i] for i in np.argsort(codes)]
-        assert by_code == sorted(partitions, key=restricted_growth)
-
-
-class TestTableCodes:
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_strictly_ascending_and_read_only(self, n):
-        codes = _table_codes(n)
-        assert len(codes) == BELL[n]
-        assert (np.diff(codes) > 0).all()
-        assert not codes.flags.writeable
-        assert _table_codes(n) is codes
 
 
 class TestRunMonteCarlo:
@@ -156,6 +105,13 @@ class TestRequestChecks:
         with pytest.raises(ValueError):
             run(PYParams(1.0, 0.5), n, trials, sampler, 0)
         assert spy == []
+
+    @pytest.mark.parametrize("run", [run_monte_carlo, sample_partitions])
+    @pytest.mark.parametrize("n", [0, 11, 2.5, "3"])
+    def test_bad_n_gives_the_shared_message(self, spy, run, n):
+        with pytest.raises(ValueError) as err:
+            run(PYParams(1.0, 0.5), n, 10, "crp", 0)
+        assert str(err.value) == f"n must be an integer in 1..10, got {n!r}"
 
     @pytest.mark.parametrize("run", [run_monte_carlo, sample_partitions])
     @pytest.mark.parametrize("sampler", ["stick", "crp"])
