@@ -10,7 +10,6 @@ or on a process pool.
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +135,10 @@ def run_monte_carlo(
     if workers is None:
         workers = min(os.cpu_count() or 1, len(jobs))
     if workers > 1 and len(jobs) > 1:
+        # imported here: the pool module pulls in multiprocessing, which a
+        # serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             indices = list(pool.map(_batch_index, jobs))
     else:

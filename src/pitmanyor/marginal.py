@@ -9,6 +9,14 @@ Throughout, positive integers start at 1: allocation labels are >= 1 and so
 are the label gaps b_i of the gap parameterization, as required both by the
 geometric series sum_{b>=1} E[X^b] = E[X/(1-X)] and by distinct labels having
 gaps >= 1.
+
+The two oracles that `verify` replays over whole grids have array
+evaluators, and the public functions are their one-row and one-profile
+calls: `_allocation_log_probs` scores every row of a label matrix, and
+`_lemma_b_truncated_sums` evaluates the truncated label sum at many size
+profiles from one walk over the shared prefixes of their gap recursions.
+Both add their terms in the order of the scalar loops they replaced, so a
+value does not depend on which entry point computed it.
 """
 
 import math
@@ -37,6 +45,10 @@ __all__ = [
 
 # k! enumeration ceiling shared by the permutation-sum oracles.
 MAX_PERMUTATION_K = 8
+
+# Cumulative-ratio arrays one gap-sum walk keeps, one per recent offset: the
+# bridge's profiles of n <= 4 use four, and at max_label 1e5 each holds 0.8 MB.
+_CUMRATIO_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,49 @@ def allocation_stats(z: Sequence[int]) -> AllocationStats:
     return AllocationStats(m, tuple(e), tuple(f), tuple(g))
 
 
+def _allocation_log_probs(params: PYParams, z) -> np.ndarray:
+    """`allocation_log_prob` of every row of a (rows, n) label matrix.
+
+    Row r's terms are written in the scalar evaluator's order: the level
+    terms log(alpha + (j-1)d) for j = 2..m, the cancelled denominator
+    -log (alpha+1)_(n-1), the terms -log(g_j + alpha + (j-1)d) for
+    j = 1..m, and log (1-d)_(e_j) for each occupied label j.  Past the row's
+    own max label m (g_j = 0) and at empty labels (e_j = 0) the term is a
+    zero, which adds nothing.  The logs come from small per-call tables --
+    one per level, one per distinct (g_j, j) pair, one per block size -- and
+    `np.add.accumulate` adds each row's terms one at a time from 0.0, as
+    `crp._sequential_log_probs` does, so every row is bit-identical to the
+    scalar loop.  The work arrays hold 3 * max(z) floats per row.
+    """
+    z = np.asarray(z)
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError("allocation vectors must be nonempty rows of one matrix")
+    if not np.issubdtype(z.dtype, np.integer) or z.min() < 1:
+        raise ValueError("labels must be integers >= 1")
+    rows, n = z.shape
+    top = int(z.max())
+    alpha, d = params.alpha, params.d
+    # label-major, so each of the accumulation's steps runs down a contiguous row
+    e = np.zeros((top + 1, rows), dtype=np.int64)
+    row_index = np.arange(rows)
+    for column in z.T:
+        e[column, row_index] += 1
+    e = e[1:]  # e[j-1, r] counts the entries of row r equal to j
+    g = np.cumsum(e[::-1], axis=0)[::-1]  # entries at or above j
+    live = g > 0
+    level_logs = np.array([math.log(alpha + (j - 1) * d) for j in range(2, top + 1)])
+    pairs, pair_index = np.unique((g * top + np.arange(top)[:, None])[live], return_inverse=True)
+    pair_logs = np.array([math.log(p // top + alpha + (p % top) * d) for p in pairs.tolist()])
+    block_logs = np.array([0.0] + [log_rising_factorial(1.0 - d, c) for c in range(1, n + 1)])
+    terms = np.zeros((3 * top + 1, rows))  # row 0: the loop's starting 0.0
+    terms[1:top] = np.where(live[1:], level_logs[:, None], 0.0)
+    terms[top] = -log_rising_factorial(alpha + 1.0, n - 1)
+    g_terms = terms[top + 1 : 2 * top + 1]
+    g_terms[live] = -pair_logs[pair_index]
+    terms[2 * top + 1 :] = block_logs[e]
+    return np.add.accumulate(terms)[-1]
+
+
 def allocation_log_prob(params: PYParams, z: Sequence[int]) -> LogProb:
     """log Pr of an allocation-label vector under the stick weights.
 
@@ -83,22 +138,10 @@ def allocation_log_prob(params: PYParams, z: Sequence[int]) -> LogProb:
                       * prod_{j=1}^{m} (alpha+(j-1)d) / (g_j + alpha + (j-1)d).
 
     The same form holds at d = 0, where every stick fraction is
-    Beta(1, alpha) and each block contributes |c|!.
+    Beta(1, alpha) and each block contributes |c|!.  A one-row call of the
+    evaluator that `verify` runs over whole label grids.
     """
-    stats = allocation_stats(z)
-    alpha, d = params.alpha, params.d
-    n = len(z)
-    total = 0.0
-    # leading numerator factor alpha (j = 1) cancelled against (alpha)_(n)
-    for j in range(2, stats.m + 1):
-        total += math.log(alpha + (j - 1) * d)
-    total -= log_rising_factorial(alpha + 1.0, n - 1)
-    for j in range(1, stats.m + 1):
-        total -= math.log(stats.g[j - 1] + alpha + (j - 1) * d)
-    for count in stats.e:
-        if count > 0:
-            total += log_rising_factorial(1.0 - d, count)
-    return total
+    return float(_allocation_log_probs(params, np.array([z]))[0])
 
 
 def beta_moment(a: float, b: float, c: float, e: float) -> float:
@@ -129,6 +172,51 @@ def _distinct_suffix_sum_orders(sizes: Sequence[int]) -> Counter:
     return out
 
 
+def _cumratios(alpha: float, d: float, total_cap: int):
+    """The gap-sum recursion's cumulative ratio array for an offset a,
+
+        C_a(B) = prod_{t=1}^{B} num_t / (a + alpha + (t-1) d),
+
+    with num_1 = |alpha| (the lone sign-carrying factor taken out) and
+    num_t = alpha + (t-1) d beyond, for B = 0..total_cap.  Returns a
+    function of a that builds each array once and keeps the last few:
+    one walk meets the same offset at many steps.
+    """
+    t = np.arange(total_cap + 1, dtype=float)
+    num = np.empty(total_cap + 1)
+    num[0] = 1.0
+    if total_cap >= 1:
+        num[1] = abs(alpha)
+    if total_cap >= 2:
+        num[2:] = alpha + (t[2:] - 1.0) * d
+
+    @lru_cache(maxsize=_CUMRATIO_CACHE)
+    def cumratio(a: float) -> np.ndarray:
+        ratios = num[1:] / (a + alpha + (t[1:] - 1.0) * d)
+        return np.concatenate([[1.0], np.cumprod(ratios)])
+
+    return cumratio
+
+
+def _gap_step(state: np.ndarray, cumratio: np.ndarray, gap_cap: int | None) -> np.ndarray:
+    """One gap of the recursion over the running gap total B: the new state
+    at B is the sum over earlier totals B' < B (and B - B' <= gap_cap) of
+    state[B'] * C(B) / C(B'), taken as a prefix sum of state / C."""
+    scaled = np.divide(state, cumratio, out=np.zeros_like(state), where=cumratio > 0)
+    prefix = np.cumsum(scaled)
+    out = np.zeros_like(state)
+    out[1:] = cumratio[1:] * prefix[:-1]
+    if gap_cap is not None and len(state) >= gap_cap + 2:
+        out[gap_cap + 1:] -= cumratio[gap_cap + 1:] * prefix[: -gap_cap - 1]
+    return out
+
+
+def _start_state(total_cap: int) -> np.ndarray:
+    state = np.zeros(total_cap + 1)
+    state[0] = 1.0
+    return state
+
+
 def _gap_sum_dp(alpha: float, d: float, a_seq: Sequence[float], total_cap: int,
                 gap_cap: int | None) -> float:
     """Sum over gap vectors (b_1..b_k), each b_i >= 1, of
@@ -144,25 +232,67 @@ def _gap_sum_dp(alpha: float, d: float, a_seq: Sequence[float], total_cap: int,
     sign-carrying factor alpha (position 1) is taken out as |alpha|; callers
     reapply the sign.
     """
-    t = np.arange(total_cap + 1, dtype=float)
-    num = np.empty(total_cap + 1)
-    num[0] = 1.0
-    if total_cap >= 1:
-        num[1] = abs(alpha)
-    if total_cap >= 2:
-        num[2:] = alpha + (t[2:] - 1.0) * d
-    state = np.zeros(total_cap + 1)
-    state[0] = 1.0
+    cumratio = _cumratios(alpha, d, total_cap)
+    state = _start_state(total_cap)
     for a_i in a_seq:
-        ratios = num[1:] / (a_i + alpha + (t[1:] - 1.0) * d)
-        cumratio = np.concatenate([[1.0], np.cumprod(ratios)])
-        scaled = np.divide(state, cumratio, out=np.zeros_like(state), where=cumratio > 0)
-        prefix = np.cumsum(scaled)
-        state = np.zeros(total_cap + 1)
-        state[1:] = cumratio[1:] * prefix[:-1]
-        if gap_cap is not None and total_cap >= gap_cap + 1:
-            state[gap_cap + 1:] -= cumratio[gap_cap + 1:] * prefix[: -gap_cap - 1]
+        state = _gap_step(state, cumratio(a_i), gap_cap)
     return float(state.sum())
+
+
+def _gap_sums(alpha: float, d: float, a_vecs, total_cap: int) -> dict:
+    """`_gap_sum_dp(alpha, d, a_vec, total_cap, None)` for each of a_vecs,
+    keyed by a_vec, from one depth-first walk over their shared prefixes.
+
+    The state after i gaps depends only on the first i offsets, so the
+    vectors are visited in sorted order, which puts every prefix before its
+    extensions, and only the states on the current path are kept.  Each step
+    is the one `_gap_sum_dp` takes, so the values are bit-identical to it.
+    """
+    cumratio = _cumratios(alpha, d, total_cap)
+    path: list[float] = []
+    states = [_start_state(total_cap)]
+    out = {}
+    for a_vec in sorted(set(a_vecs)):
+        shared = 0
+        while shared < min(len(path), len(a_vec)) and path[shared] == a_vec[shared]:
+            shared += 1
+        del path[shared:], states[shared + 1:]
+        for a in a_vec[shared:]:
+            states.append(_gap_step(states[-1], cumratio(a), None))
+            path.append(a)
+        out[a_vec] = float(states[-1].sum())
+    return out
+
+
+def _lemma_b_truncated_sums(
+    params: PYParams, profiles: Sequence[tuple[int, ...]], max_label: int
+) -> list[tuple[float, float]]:
+    """`lemma_b_truncated_sum` at a partition of each sorted block-size
+    profile, in the given order, with one gap-sum walk for all of them."""
+    for sizes in profiles:
+        k = len(sizes)
+        if max_label < k:
+            raise ValueError(f"max_label must be at least the block count {k}")
+        if k > MAX_PERMUTATION_K:
+            raise ValueError(f"block count {k} exceeds the k! ceiling {MAX_PERMUTATION_K}")
+    if params.alpha == 0.0:
+        # every term carries the factor alpha; both sides vanish
+        return [(0.0, 0.0)] * len(profiles)
+    orders = [_distinct_suffix_sum_orders(sizes) for sizes in profiles]
+    sums = _gap_sums(params.alpha, params.d, [a for order in orders for a in order], max_label)
+    sign = 1.0 if params.alpha > 0.0 else -1.0
+    out = []
+    for sizes, order in zip(profiles, orders):
+        closed = 1.0
+        for i in range(len(sizes)):
+            closed *= params.alpha + i * params.d
+        for s in sizes:
+            closed /= s - params.d
+        total = 0.0
+        for a_vec, mult in order.items():
+            total += mult * sums[a_vec]
+        out.append((sign * total, closed))
+    return out
 
 
 def lemma_b_truncated_sum(
@@ -187,27 +317,11 @@ def lemma_b_truncated_sum(
 
     The block sizes are walked in sorted order, which fixes the order of
     every sum: partitions with the same size profile give bit-identical
-    values.
+    values.  A one-profile call of the batch that `verify` runs over every
+    size profile at once.
     """
-    sizes = sorted(partition.block_sizes())
-    k = len(sizes)
-    if max_label < k:
-        raise ValueError(f"max_label must be at least the block count {k}")
-    if k > MAX_PERMUTATION_K:
-        raise ValueError(f"block count {k} exceeds the k! ceiling {MAX_PERMUTATION_K}")
-    closed = 1.0
-    for i in range(k):
-        closed *= params.alpha + i * params.d
-    for s in sizes:
-        closed /= s - params.d
-    if params.alpha == 0.0:
-        # every term carries the factor alpha; both sides vanish
-        return 0.0, 0.0
-    sign = 1.0 if params.alpha > 0.0 else -1.0
-    total = 0.0
-    for a_vec, mult in _distinct_suffix_sum_orders(sizes).items():
-        total += mult * _gap_sum_dp(params.alpha, params.d, a_vec, max_label, None)
-    return sign * total, closed
+    sizes = tuple(sorted(partition.block_sizes()))
+    return _lemma_b_truncated_sums(params, [sizes], max_label)[0]
 
 
 def truncated_label_mass(params: PYParams, n: int, max_label: int) -> float:

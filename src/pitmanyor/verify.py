@@ -5,6 +5,13 @@ iff every one of its checks does.  Tolerances come from the shared constants
 ledger; statistical checks use seeded streams with the seed recorded in the
 report, so repeated runs are byte-identical.
 
+The exact checks run over whole tables and grids, not one partition or label
+vector at a time: the law and the sequential product over each n's partition
+table, Prop A's marginal over each label grid with one
+`marginal._allocation_log_probs` call, and the bridge's truncated label sums
+over every size profile of n <= 4 with one `marginal._lemma_b_truncated_sums`
+walk per truncation.  Each value is bit-identical to its scalar entry point.
+
 The label-sum bridge ("lemma_b_bridge_at_60") rebuilds partition
 probabilities from the label sum truncated at 60.  A rebuilt value is the
 probability of the partition *and* every label <= 60, so the check compares
@@ -27,15 +34,15 @@ from itertools import product
 import numpy as np
 
 from . import constants
-from .core import PYParams, _partition_table
+from .core import PYParams
 from .crp import _table_sequential_log_probs
 from .eppf import _size_profiles, _table_log_probs, _table_probs, normalization_check
 from .harness import SAMPLERS, growth_experiment, run_monte_carlo, tv_distance
 from .marginal import (
-    allocation_log_prob,
+    _allocation_log_probs,
+    _lemma_b_truncated_sums,
     allocation_stats,
     beta_moment,
-    lemma_b_truncated_sum,
     lemma_c_check,
     lemma_d_check,
     truncated_label_mass,
@@ -242,15 +249,14 @@ def check_allocation_marginal_oracle(alpha=None, d=None, **_):
         else [(alpha, d)]
     )
     out = []
+    grids = [np.array(list(product(range(1, 5), repeat=n))) for n in (1, 2, 3)]
     for a, dd in pairs:
         params = PYParams(a, dd)
         worst = 0.0
-        for n in (1, 2, 3):
-            for z in product(range(1, 5), repeat=n):
-                gap = abs(
-                    allocation_log_prob(params, z) - _allocation_oracle_log_prob(params, z)
-                )
-                worst = max(worst, gap)
+        for z in grids:
+            oracle = [_allocation_oracle_log_prob(params, row) for row in z.tolist()]
+            gaps = np.abs(_allocation_log_probs(params, z) - oracle)
+            worst = max(worst, float(gaps.max()))
         out.append(
             _record(
                 "allocation_marginal_oracle",
@@ -276,9 +282,9 @@ def check_allocation_truncated_normalization(alpha=None, d=None, **_):
     # each pair is evaluated once, at the top level; fsum rounds exactly, so
     # summing a level's nested square from the shared table changes no bit
     labels = range(1, levels[-1] + 1)
-    probs = np.array(
-        [math.exp(allocation_log_prob(params, z)) for z in product(labels, repeat=2)]
-    ).reshape(len(labels), len(labels))
+    z = np.array(list(product(labels, repeat=2)))
+    probs = np.array(list(map(math.exp, _allocation_log_probs(params, z).tolist())))
+    probs = probs.reshape(len(labels), len(labels))
     partial_sums = [math.fsum(probs[:level, :level].flat) for level in levels]
     monotone = all(x < y for x, y in zip(partial_sums, partial_sums[1:]))
     return [
@@ -300,23 +306,28 @@ def check_allocation_truncated_normalization(alpha=None, d=None, **_):
 # identity oracles (suites lemmaB / lemmaC / lemmaD / lemmaE)
 
 
-def _bridge_reconstruction(params: PYParams, partition, max_label: int) -> float:
-    """Pr(partition and every label <= max_label), reassembled from the
-    truncated label sum as prod_c (1-d)_(|c|) * sum / (alpha)_(n).
+def _bridge_reconstructions(params: PYParams, profiles, max_label: int) -> list[float]:
+    """Pr(C and every label <= max_label) for a partition C of each sorted
+    block-size profile, reassembled from the truncated label sum as
+    prod_c (1-d)_(|c|) * sum / (alpha)_(n).
 
     For -d < alpha < 0 the sum and (alpha)_(n) both carry the sign of their
     one factor alpha, so the magnitudes are combined in log space and the
-    sign of alpha is applied to the prefactor.  Like the truncated sum, the
-    prefactor walks the sorted block sizes, so partitions with the same size
-    profile give bit-identical values.
+    sign of alpha is applied to the prefactor.  The value depends only on
+    the profile, and the truncated sums of all the profiles come from one
+    `marginal._lemma_b_truncated_sums` walk.
     """
-    truncated, _ = lemma_b_truncated_sum(params, partition, max_label)
-    log_pref = 0.0
-    for j in range(partition.n):
-        log_pref -= math.log(abs(params.alpha + j))
-    for s in sorted(partition.block_sizes()):
-        log_pref += math.lgamma(s + 1.0 - params.d) - math.lgamma(1.0 - params.d)
-    return math.copysign(math.exp(log_pref), params.alpha) * truncated
+    out = []
+    for sizes, (truncated, _) in zip(
+        profiles, _lemma_b_truncated_sums(params, profiles, max_label)
+    ):
+        log_pref = 0.0
+        for j in range(sum(sizes)):
+            log_pref -= math.log(abs(params.alpha + j))
+        for s in sizes:
+            log_pref += math.lgamma(s + 1.0 - params.d) - math.lgamma(1.0 - params.d)
+        out.append(math.copysign(math.exp(log_pref), params.alpha) * truncated)
+    return out
 
 
 def check_lemma_b_bridge(alpha=None, d=None, **_):
@@ -333,9 +344,9 @@ def check_lemma_b_bridge(alpha=None, d=None, **_):
     the worst deficit against Pr(C) and the mass omitted at n = 4.
 
     A rebuilt value depends only on the block sizes, so it is evaluated once
-    per size profile of `_size_profiles(n)`, on the profile's first partition
-    in the table, and gathered back into table order; the sum, deficit and
-    below-the-law updates still run over the partitions in table order.
+    per size profile of `_size_profiles(n)`, for every n at once, and
+    gathered back into table order; the sum, deficit and below-the-law
+    updates still run over the partitions in table order.
     """
     a = 1.0 if alpha is None else alpha
     dd = 0.5 if d is None else d
@@ -346,6 +357,8 @@ def check_lemma_b_bridge(alpha=None, d=None, **_):
             "and 1/(alpha)_(n) both carry the factor alpha, so it checks nothing there"
         )
     tol = constants.TOL_TRUNCATED
+    by_n = {n: _size_profiles(n) for n in range(1, 5)}
+    profiles = [sizes for n_profiles, _ in by_n.values() for sizes in n_profiles]
     out = []
     for max_label, label, against_law in (
         (60, "lemma_b_bridge_at_60", False),
@@ -353,15 +366,11 @@ def check_lemma_b_bridge(alpha=None, d=None, **_):
     ):
         mass_error = deficit = 0.0
         below = True
-        for n in range(1, 5):
-            table = _partition_table(n)
-            _, index = _size_profiles(n)
-            first = np.unique(index, return_index=True)[1]
-            by_profile = [_bridge_reconstruction(params, table[i], max_label) for i in first]
+        rebuilt_of = dict(zip(profiles, _bridge_reconstructions(params, profiles, max_label)))
+        for n, (n_profiles, index) in by_n.items():
+            by_profile = np.array([rebuilt_of[sizes] for sizes in n_profiles])
             rebuilt = 0.0
-            for got, want in zip(
-                np.array(by_profile)[index].tolist(), _table_probs(params, n).tolist()
-            ):
+            for got, want in zip(by_profile[index].tolist(), _table_probs(params, n).tolist()):
                 rebuilt += got
                 deficit = max(deficit, want - got)
                 below &= got <= want + constants.TOL_ROUNDING
@@ -456,8 +465,14 @@ def check_beta_moment_mc(trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED
     out = []
     for idx, (a, b, c, e) in enumerate(BETA_MOMENT_CONFIGS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 11, idx]))
-        draws = beta_sample(a, b, rng, size=trials)
-        values = draws**c * (1.0 - draws) ** e
+        # y^c (1-y)^e in place, with one work array for (1-y)^e; `**=` takes
+        # the same scalar-exponent paths as `**`, so no value moves
+        values = beta_sample(a, b, rng, size=trials)
+        work = 1.0 - values
+        work **= e
+        values **= c
+        values *= work
+        del work
         emp = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(trials))
         want = beta_moment(a, b, c, e)

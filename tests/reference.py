@@ -1,4 +1,5 @@
-"""Independent scalar references for the two sampling routes.
+"""Independent scalar references for the two sampling routes and the
+allocation-marginal and label-sum oracles.
 
 The package samples each route with one batch engine.  These per-draw loops
 are what the tests compare the engines against: the stick walk is the only
@@ -7,13 +8,21 @@ the restaurant rule one observation at a time.  Both are cheap per draw, so
 the frequency tests that take tens of thousands of draws run them.
 `restricted_growth` writes a partition as the first-appearance label string
 that the restaurant sampler returns, for comparing the two.
+
+`allocation_log_prob` and `lemma_b_truncated_sum` are the per-vector and
+per-ordering loops that the package's grid evaluators replaced; the tests
+pin the evaluators to them bit for bit.
 """
 
+import math
 from bisect import bisect_right
+from collections import Counter
+from itertools import permutations
 
 import numpy as np
 
-from pitmanyor.core import Partition, PYParams, partition_from_allocations
+from pitmanyor.core import Partition, PYParams, log_rising_factorial, partition_from_allocations
+from pitmanyor.marginal import allocation_stats
 from pitmanyor.stickbreak import beta_sample
 
 # Sticks one walk may realize before it raises, so that a heavy tail fails
@@ -134,3 +143,62 @@ def restricted_growth(partition: Partition) -> tuple[int, ...]:
         for e in block:
             z[e - 1] = b
     return tuple(z)
+
+
+def allocation_log_prob(params: PYParams, z) -> float:
+    """log Pr of one allocation vector, term by term: the level factors
+    alpha + (j-1)d for j = 2..m, the cancelled denominator (alpha+1)_(n-1),
+    the factors g_j + alpha + (j-1)d, then (1-d)_(e_j) per occupied label."""
+    stats = allocation_stats(z)
+    alpha, d = params.alpha, params.d
+    total = 0.0
+    for j in range(2, stats.m + 1):
+        total += math.log(alpha + (j - 1) * d)
+    total -= log_rising_factorial(alpha + 1.0, len(z) - 1)
+    for j in range(1, stats.m + 1):
+        total -= math.log(stats.g[j - 1] + alpha + (j - 1) * d)
+    for count in stats.e:
+        if count > 0:
+            total += log_rising_factorial(1.0 - d, count)
+    return total
+
+
+def _gap_sum(alpha: float, d: float, a_seq, total_cap: int) -> float:
+    """One ordering's truncated gap sum, every step from scratch."""
+    t = np.arange(total_cap + 1, dtype=float)
+    num = np.empty(total_cap + 1)
+    num[0] = 1.0
+    if total_cap >= 1:
+        num[1] = abs(alpha)
+    if total_cap >= 2:
+        num[2:] = alpha + (t[2:] - 1.0) * d
+    state = np.zeros(total_cap + 1)
+    state[0] = 1.0
+    for a_i in a_seq:
+        ratios = num[1:] / (a_i + alpha + (t[1:] - 1.0) * d)
+        cumratio = np.concatenate([[1.0], np.cumprod(ratios)])
+        scaled = np.divide(state, cumratio, out=np.zeros_like(state), where=cumratio > 0)
+        prefix = np.cumsum(scaled)
+        state = np.zeros(total_cap + 1)
+        state[1:] = cumratio[1:] * prefix[:-1]
+    return float(state.sum())
+
+
+def lemma_b_truncated_sum(params: PYParams, sizes, max_label: int) -> tuple[float, float]:
+    """Truncated label sum of a partition with these block sizes and its
+    closed form, one gap-sum recursion per distinct suffix-sum order."""
+    sizes = sorted(sizes)
+    closed = 1.0
+    for i in range(len(sizes)):
+        closed *= params.alpha + i * params.d
+    for s in sizes:
+        closed /= s - params.d
+    if params.alpha == 0.0:
+        return 0.0, 0.0
+    orders: Counter = Counter()
+    for perm in permutations(sizes):
+        orders[tuple(np.cumsum(perm[::-1])[::-1].tolist())] += 1
+    total = 0.0
+    for a_vec, mult in orders.items():
+        total += mult * _gap_sum(params.alpha, params.d, a_vec, max_label)
+    return math.copysign(total, params.alpha), closed

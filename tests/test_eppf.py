@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pitmanyor.constants import TOL_EXHAUSTIVE
-from pitmanyor.core import Partition, PYParams, _partition_table, enumerate_partitions
+from pitmanyor.core import (
+    Partition, PYParams, _growth_strings, _partition_table, enumerate_partitions
+)
 from pitmanyor.eppf import (
     _dp_log_prob_from_sizes,
     _log_prob_from_sizes,
@@ -124,8 +127,10 @@ class TestLawTable:
         assert _size_profiles(n)[1] is index
         assert not index.flags.writeable
         assert list(profiles) == sorted(set(profiles))
-        for partition, i in zip(_partition_table(n), index.tolist()):
-            assert profiles[i] == tuple(sorted(partition.block_sizes()))
+        # block sizes counted from each growth string on its own, so no
+        # Partition table is built
+        for row, i in zip(_growth_strings(n), index.tolist()):
+            assert profiles[i] == tuple(sorted(np.bincount(row).tolist()))
 
 
 class TestLawCaches:

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import betaln
 
+import reference
 from pitmanyor.core import Partition, PYParams, enumerate_partitions, partition_from_allocations
+from pitmanyor.eppf import _size_profiles
 from pitmanyor.marginal import (
     MAX_PERMUTATION_K,
     AllocationStats,
+    _allocation_log_probs,
+    _lemma_b_truncated_sums,
     _permutation_orders,
     allocation_log_prob,
     allocation_stats,
@@ -21,7 +25,7 @@ from pitmanyor.marginal import (
     lemma_d_check,
     truncated_label_mass,
 )
-from pitmanyor.verify import _bridge_reconstruction
+from pitmanyor.verify import _bridge_reconstructions
 
 P = Partition.from_blocks
 
@@ -99,11 +103,9 @@ class TestAllocationLogProb:
 
 
 def truncated_normalization_n2(params, level):
-    return math.fsum(
-        math.exp(allocation_log_prob(params, (z1, z2)))
-        for z1 in range(1, level + 1)
-        for z2 in range(1, level + 1)
-    )
+    # the grid evaluator, which TestGridEvaluators pins to the scalar loop
+    z = np.array(list(product(range(1, level + 1), repeat=2)))
+    return math.fsum(map(math.exp, _allocation_log_probs(params, z).tolist()))
 
 
 class TestTruncatedNormalization:
@@ -332,17 +334,24 @@ class TestLabelSumOracle:
     @pytest.mark.parametrize("params", [PYParams(0.3, 0.7), PYParams(2.0, 0.9)], ids=str)
     @pytest.mark.parametrize("max_label", [60, 100_000])
     def test_equal_on_each_size_profile(self, params, max_label):
-        # the bridge check evaluates one partition per size profile and
-        # reuses its value for the rest, so the values must be bit-identical
+        # the bridge check evaluates every size profile in one walk and
+        # reuses each value for the profile's partitions, so every partition's
+        # own call must give the walk's value bit for bit
+        profiles = [sizes for n in range(1, 5) for sizes in _size_profiles(n)[0]]
+        walk = list(
+            zip(
+                _lemma_b_truncated_sums(params, profiles, max_label),
+                _bridge_reconstructions(params, profiles, max_label),
+            )
+        )
         for n in range(1, 5):
-            by_profile = {}
             for partition in enumerate_partitions(n):
+                sizes = tuple(sorted(partition.block_sizes()))
                 value = (
                     lemma_b_truncated_sum(params, partition, max_label),
-                    _bridge_reconstruction(params, partition, max_label),
+                    _bridge_reconstructions(params, [sizes], max_label)[0],
                 )
-                sizes = tuple(sorted(partition.block_sizes()))
-                assert by_profile.setdefault(sizes, value) == value, partition
+                assert value == walk[profiles.index(sizes)], partition
 
 
 class TestNestedGapSums:
@@ -398,3 +407,62 @@ class TestNestedGapSums:
             lemma_d_check(PYParams(1.0, 0.5), [], 10)
         with pytest.raises(ValueError):
             lemma_d_check(PYParams(1.0, 0.5), [2.0], 0)
+
+
+# the grids the verify checks evaluate, and the parameter corners: negative
+# and zero alpha, and the Dirichlet case d = 0
+GRID_PARAMS = pytest.mark.parametrize(
+    "params",
+    [PYParams(1.0, 0.1), PYParams(1.0, 0.5), PYParams(0.3, 0.7), PYParams(2.0, 0.9),
+     PYParams(-0.3, 0.5), PYParams(0.0, 0.2), PYParams(5.0, 0.0)],
+    ids=str,
+)
+
+
+class TestGridEvaluators:
+    """The grid evaluators against the scalar loops of tests/reference.py,
+    bit for bit: the verify records depend on every bit."""
+
+    @staticmethod
+    def assert_rows_identical(params, z):
+        got = _allocation_log_probs(params, np.array(z))
+        want = np.array([reference.allocation_log_prob(params, row) for row in z])
+        assert got.tobytes() == want.tobytes()
+
+    @GRID_PARAMS
+    def test_allocation_labels_to_60_at_n2(self, params):
+        self.assert_rows_identical(params, list(product(range(1, 61), repeat=2)))
+
+    @GRID_PARAMS
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_allocation_labels_to_4(self, params, n):
+        grid = list(product(range(1, 5), repeat=n))
+        self.assert_rows_identical(params, grid)
+        for z in grid:  # the scalar is the one-row call
+            assert allocation_log_prob(params, z) == reference.allocation_log_prob(params, z)
+
+    @GRID_PARAMS
+    def test_allocation_label_near_1e4(self, params):
+        row = (9973, 1, 5000, 9973)
+        self.assert_rows_identical(params, [row])
+        assert allocation_log_prob(params, row) == reference.allocation_log_prob(params, row)
+
+    @pytest.mark.parametrize("z", [[[0, 1]], [[1.0, 2.0]], [[]], [1, 2]])
+    def test_allocation_rejects_bad_label_matrices(self, z):
+        with pytest.raises(ValueError):
+            _allocation_log_probs(PYParams(1.0, 0.5), np.array(z))
+
+    @pytest.mark.parametrize(
+        "params",
+        [PYParams(1.0, 0.5), PYParams(0.3, 0.7), PYParams(-0.3, 0.5), PYParams(0.0, 0.2),
+         PYParams(5.0, 0.0)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("max_label", [60, 100_000])
+    def test_lemma_b_every_profile_to_n4(self, params, max_label):
+        profiles = [sizes for n in range(1, 5) for sizes in _size_profiles(n)[0]]
+        got = _lemma_b_truncated_sums(params, profiles, max_label)
+        want = [reference.lemma_b_truncated_sum(params, sizes, max_label) for sizes in profiles]
+        assert [tuple(map(float.hex, v)) for v in got] == [
+            tuple(map(float.hex, v)) for v in want
+        ]

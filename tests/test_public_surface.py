@@ -1,15 +1,19 @@
 """The package's exported names and the README's library example."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import pitmanyor
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -33,3 +37,14 @@ def test_readme_library_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool module and multiprocessing load only where a pool starts
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, pitmanyor; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

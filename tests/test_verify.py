@@ -1,7 +1,30 @@
+import hashlib
+import json
+
 import pytest
 
-from pitmanyor.constants import TOL_TRUNCATED
+from pitmanyor import verify
+from pitmanyor.constants import DEFAULT_SEED, TOL_TRUNCATED
 from pitmanyor.verify import default_parameter_grid, run_suite
+
+# every check that is not a sampler TV check, in suite order
+IDENTITY_CHECKS = (
+    "check_normalization",
+    "check_sequential_identity",
+    "check_dp_limit",
+    "check_lemma_b_bridge",
+    "check_lemma_c",
+    "check_lemma_d",
+    "check_beta_moment_exact",
+    "check_beta_moment_mc",
+    "check_allocation_marginal_oracle",
+    "check_allocation_truncated_normalization",
+    "check_growth",
+)
+
+# sha256 of their records at DEFAULT_SEED, as sorted-key JSON, recorded with
+# the scalar allocation and label-sum loops (x86-64 Linux, numpy 2.4)
+IDENTITY_RECORDS_SHA256 = "60840ed223af0db4567e539c2fc1ee207e74792d7d530e084eefcf0d4f978d0f"
 
 
 def names(report):
@@ -16,6 +39,11 @@ class TestParameterGrid:
 
 
 class TestSuites:
+    def test_identity_records_are_pinned(self):
+        records = [r for name in IDENTITY_CHECKS for r in getattr(verify, name)(seed=DEFAULT_SEED)]
+        blob = json.dumps(records, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == IDENTITY_RECORDS_SHA256
+
     def test_normalization_passes(self):
         report = run_suite("normalization")
         assert report["passed"] and len(report["checks"]) == 17
