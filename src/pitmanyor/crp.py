@@ -102,8 +102,16 @@ def sample_label_matrix(
     Returns a (trials, n) integer matrix whose rows are 0-based block labels
     in first-appearance order (a restricted growth string per row).  Trials
     only share the random stream.  crp_sample_partition is row 0 of a
-    one-row call.  Trials are seated column-major, as (n, trials), so each
-    step runs down contiguous rows; the result is a transposed view.
+    one-row call.
+
+    Trials are seated column-major, as (n, trials), and every step works on
+    contiguous rows of length trials.  The seating weight of each row (s - d
+    for an open block of size s, alpha + k d for the new-block row, 0 past
+    it) is state updated in place: only the new-block row and each column's
+    chosen row change per step.  The running sum of the weights is taken one
+    row at a time, never with an accumulate along axis 0, adding in block
+    order as the per-draw loop does, and the choice counts the rows whose
+    running sum is still below the target.  The result is a transposed view.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -111,18 +119,28 @@ def sample_label_matrix(
         raise ValueError(f"trials must be >= 1, got {trials}")
     alpha, d = params.alpha, params.d
     labels = np.zeros((n, trials), dtype=np.int64)
-    counts = np.zeros((n, trials), dtype=float)
-    counts[0] = 1.0
+    # block sizes and seating weights; the gathers and scatters take flat
+    # indices row * trials + column, a third of the cost of a 2-D fancy index
+    counts = np.zeros(n * trials)
+    counts[:trials] = 1.0
+    w = np.zeros((n, trials))
+    w[0] = 1.0 - d
+    flat_w = w.reshape(-1)
     k = np.ones(trials, dtype=np.int64)
     cols = np.arange(trials)
     for i in range(1, n):
-        w = counts[: i + 1] - d * (counts[: i + 1] > 0)
-        w[k, cols] = alpha + k * d
-        csum = np.cumsum(w, axis=0)
+        flat_w[k * trials + cols] = alpha + k * d
         target = rng.random(trials) * (alpha + i)
-        choice = (csum < target).sum(axis=0)
+        run = w[0].copy()
+        choice = labels[i]
+        choice[:] = run < target
+        for r in range(1, i + 1):
+            run += w[r]
+            choice += run < target
         np.minimum(choice, k, out=choice)  # guard against rounding past the new-block row
-        labels[i] = choice
-        counts[choice, cols] += 1.0
+        seat = choice * trials + cols
+        seated = counts[seat] + 1.0
+        counts[seat] = seated
+        flat_w[seat] = seated - d
         k += choice == k
     return labels.T

@@ -142,15 +142,23 @@ def _far_hit_sticks(
 
 def _hit_sizes(d: float, m: int, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """H ~ P(H = h | H >= 1), proportional to C(m, h) (1 - d)_h (b)_(m - h)
-    for h = 1..m, built by the ratio of consecutive weights, held as
-    (m, rows) so the running products and sums go down contiguous rows."""
-    h = np.arange(1, m)[:, None]
-    ratio = ((m - h) * (h + 1.0 - d) / (h + 1.0)) / (b + (m - h - 1.0))
-    cum = np.ones((m, b.size))
-    np.cumprod(ratio, axis=0, out=cum[1:])
-    np.cumsum(cum, axis=0, out=cum)
-    u = rng.random(b.size) * cum[-1]
-    return 1 + (cum[:-1] <= u).sum(axis=0)
+    for h = 1..m, built by the ratio of consecutive weights.
+
+    The weight is one contiguous row over the batch, updated in place by each
+    ratio, and each running sum adds it to the previous sum's row, one h at a
+    time, never with an accumulate along axis 0.  The sizes count the running
+    sums at or below the uniform target.
+    """
+    weight = np.ones(b.size)
+    sums = [np.ones(b.size)]
+    for h in range(1, m):
+        weight *= (m - h) * (h + 1.0 - d) / (h + 1.0) / (b + (m - h - 1.0))
+        sums.append(sums[-1] + weight)
+    u = rng.random(b.size) * sums[-1]
+    taken = np.ones(b.size, dtype=np.intp)
+    for below in sums[:-1]:
+        taken += below <= u
+    return taken
 
 
 def _hit_events(

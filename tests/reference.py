@@ -12,6 +12,11 @@ that the restaurant sampler returns, for comparing the two.
 `allocation_log_prob` and `lemma_b_truncated_sum` are the per-vector and
 per-ordering loops that the package's grid evaluators replaced; the tests
 pin the evaluators to them bit for bit.
+
+`cumsum_label_matrix` and `hit_sizes` are the batch kernels written with
+accumulates along axis 0 (`np.cumsum`, `np.cumprod`, a sum over axis 0),
+which the package's row-at-a-time kernels replaced; the tests pin those
+kernels to them bit for bit on the same random stream.
 """
 
 import math
@@ -202,3 +207,39 @@ def lemma_b_truncated_sum(params: PYParams, sizes, max_label: int) -> tuple[floa
     for a_vec, mult in orders.items():
         total += mult * _gap_sum(params.alpha, params.d, a_vec, max_label)
     return math.copysign(total, params.alpha), closed
+
+
+def cumsum_label_matrix(
+    params: PYParams, n: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """`crp.sample_label_matrix` with every step's weights rebuilt from the
+    block sizes and summed by one cumsum along axis 0 of (i + 1, trials)."""
+    alpha, d = params.alpha, params.d
+    labels = np.zeros((n, trials), dtype=np.int64)
+    counts = np.zeros((n, trials), dtype=float)
+    counts[0] = 1.0
+    k = np.ones(trials, dtype=np.int64)
+    cols = np.arange(trials)
+    for i in range(1, n):
+        w = counts[: i + 1] - d * (counts[: i + 1] > 0)
+        w[k, cols] = alpha + k * d
+        csum = np.cumsum(w, axis=0)
+        target = rng.random(trials) * (alpha + i)
+        choice = (csum < target).sum(axis=0)
+        np.minimum(choice, k, out=choice)
+        labels[i] = choice
+        counts[choice, cols] += 1.0
+        k += choice == k
+    return labels.T
+
+
+def hit_sizes(d: float, m: int, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """`stickbreak._hit_sizes` with the weight ratios held as (m, rows) and
+    their running products and sums taken by cumprod and cumsum along axis 0."""
+    h = np.arange(1, m)[:, None]
+    ratio = ((m - h) * (h + 1.0 - d) / (h + 1.0)) / (b + (m - h - 1.0))
+    cum = np.ones((m, b.size))
+    np.cumprod(ratio, axis=0, out=cum[1:])
+    np.cumsum(cum, axis=0, out=cum)
+    u = rng.random(b.size) * cum[-1]
+    return 1 + (cum[:-1] <= u).sum(axis=0)

@@ -12,7 +12,7 @@ import pitmanyor.stickbreak as sb
 import reference
 from pitmanyor.constants import MC_SIGMA
 from pitmanyor.core import Partition, PYParams, partition_from_allocations
-from pitmanyor.marginal import allocation_log_prob
+from pitmanyor.marginal import _allocation_log_probs
 from pitmanyor.stickbreak import (
     beta_sample,
     sample_allocations_batch,
@@ -174,9 +174,10 @@ class TestSharedRealizationRegression:
         assert abs(hits / trials - want) <= 4.5 * se
 
 
-def allocation_prob(params, z):
-    """Exact probability of the label vector z (Prop A's closed form)."""
-    return math.exp(allocation_log_prob(params, z))
+def allocation_probs(params, z):
+    """Exact probability of each row of the label matrix z (Prop A's closed
+    form)."""
+    return [math.exp(v) for v in _allocation_log_probs(params, np.array(z)).tolist()]
 
 
 class TestHitEventEngine:
@@ -205,9 +206,9 @@ class TestHitEventEngine:
         codes = ((z - 1) * 3 ** np.arange(n)).sum(axis=1)
         inside = (z <= 3).all(axis=1)
         counts = np.bincount(codes[inside].astype(np.int64), minlength=3**n)
-        for labels in itertools.product(range(1, 4), repeat=n):
+        grid = list(itertools.product(range(1, 4), repeat=n))
+        for labels, want in zip(grid, allocation_probs(params, grid)):
             code = sum((v - 1) * 3**k for k, v in enumerate(labels))
-            want = allocation_prob(params, labels)
             se = math.sqrt(want * (1 - want) / rows)
             assert abs(counts[code] / rows - want) <= MC_SIGMA * se, labels
 
