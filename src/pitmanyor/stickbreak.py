@@ -62,11 +62,14 @@ def _hazard_table(alpha: float, d: float, m: int) -> np.ndarray:
 
     Stick i misses m observations with probability
     prod_{r<m} (alpha + i d + r) / (alpha + 1 - d + i d + r).  Read-only,
-    since every caller shares it.
+    since every caller shares it.  Where that probability rounds to 0
+    (below 2^-54) the hazard is inf; its true value is then above 37, which
+    an Exp(1) target passes with probability below 2^-54.
     """
     i = np.arange(1, _TABLE_STICKS + 1)
     r = np.arange(m)[:, None]
-    per_stick = -np.log1p(-(1.0 - d) / (alpha + 1.0 - d + i * d + r)).sum(axis=0)
+    with np.errstate(divide="ignore"):
+        per_stick = -np.log1p(-(1.0 - d) / (alpha + 1.0 - d + i * d + r)).sum(axis=0)
     table = np.concatenate(([0.0], np.cumsum(per_stick)))
     table.flags.writeable = False
     return table
@@ -75,9 +78,14 @@ def _hazard_table(alpha: float, d: float, m: int) -> np.ndarray:
 def _far_hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
     """H_m(j) - H_m(K) for stick indices j >= K = _TABLE_STICKS.
 
-    At d = 0 every stick has the same hazard.  For d > 0 the product over
-    sticks K+1..j telescopes into gamma ratios: with X_r = (alpha + r)/d and
-    Y_r = (alpha + 1 - d + r)/d it is
+    At d = 0 every stick has the same hazard (inf where a hit is sure to
+    rounding, as in `_hazard_table`).  That linear form serves below
+    d = 2^-106 too: 1 - d rounds to 1, and i d is below rounding against
+    alpha + 1 + r at every stick i below 2^53 and at the sticks a search
+    stops at, near target (alpha + 1) / m, while the gamma-ratio form loses
+    its arguments to rounding (z_K overflows near d = 1e-303).  For larger
+    d the product over sticks K+1..j telescopes into gamma ratios: with
+    X_r = (alpha + r)/d and Y_r = (alpha + 1 - d + r)/d it is
     sum_r [lgamma(Y_r + j + 1) - lgamma(X_r + j + 1)] minus the same at j = K.
     Both arguments exceed K >= 50 here, so each ratio is Stirling's series
     (`_stirling_shift`) in z = Y_r + j + 1 and the shift
@@ -85,8 +93,9 @@ def _far_hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
     delta log1p((j - K) / z_K).
     """
     r = np.arange(m)
-    if d == 0.0:
-        return (j - _TABLE_STICKS) * -np.log1p(-1.0 / (alpha + 1.0 + r)).sum()
+    if d < 2.0**-106:
+        with np.errstate(divide="ignore"):
+            return (j - _TABLE_STICKS) * -np.log1p(-1.0 / (alpha + 1.0 + r)).sum()
     delta = -(1.0 - d) / d
     z_k = (alpha + 1.0 - d + r) / d + _TABLE_STICKS + 1.0
     gap = (j - _TABLE_STICKS)[:, None]
@@ -103,7 +112,10 @@ def _hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
     near = j <= _TABLE_STICKS
     out[near] = table[j[near].astype(np.intp)]
     far = ~near & np.isfinite(j)
-    out[far] = table[-1] + _far_hazard(alpha, d, m, j[far])
+    # at tiny alpha + d the closed form's own constants lose every digit and
+    # warn, though no search gets past the table there
+    if far.any():
+        out[far] = table[-1] + _far_hazard(alpha, d, m, j[far])
     return out
 
 
@@ -147,13 +159,16 @@ def _hit_sizes(d: float, m: int, b: np.ndarray, rng: np.random.Generator) -> np.
     The weight is one contiguous row over the batch, updated in place by each
     ratio, and each running sum adds it to the previous sum's row, one h at a
     time, never with an accumulate along axis 0.  The sizes count the running
-    sums at or below the uniform target.
+    sums at or below the uniform target.  Where b is so small that the last
+    ratio overflows, H = m has all the mass to rounding, and the weight inf
+    takes all m.
     """
     weight = np.ones(b.size)
     sums = [np.ones(b.size)]
-    for h in range(1, m):
-        weight *= (m - h) * (h + 1.0 - d) / (h + 1.0) / (b + (m - h - 1.0))
-        sums.append(sums[-1] + weight)
+    with np.errstate(over="ignore"):
+        for h in range(1, m):
+            weight *= (m - h) * (h + 1.0 - d) / (h + 1.0) / (b + (m - h - 1.0))
+            sums.append(sums[-1] + weight)
     u = rng.random(b.size) * sums[-1]
     taken = np.ones(b.size, dtype=np.intp)
     for below in sums[:-1]:

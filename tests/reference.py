@@ -237,9 +237,10 @@ def hit_sizes(d: float, m: int, b: np.ndarray, rng: np.random.Generator) -> np.n
     """`stickbreak._hit_sizes` with the weight ratios held as (m, rows) and
     their running products and sums taken by cumprod and cumsum along axis 0."""
     h = np.arange(1, m)[:, None]
-    ratio = ((m - h) * (h + 1.0 - d) / (h + 1.0)) / (b + (m - h - 1.0))
     cum = np.ones((m, b.size))
-    np.cumprod(ratio, axis=0, out=cum[1:])
-    np.cumsum(cum, axis=0, out=cum)
+    with np.errstate(over="ignore"):
+        ratio = ((m - h) * (h + 1.0 - d) / (h + 1.0)) / (b + (m - h - 1.0))
+        np.cumprod(ratio, axis=0, out=cum[1:])
+        np.cumsum(cum, axis=0, out=cum)
     u = rng.random(b.size) * cum[-1]
     return 1 + (cum[:-1] <= u).sum(axis=0)

@@ -12,6 +12,7 @@ from pitmanyor.core import (
     partition_from_allocations,
 )
 from pitmanyor.crp import (
+    _TILE,
     _table_seating_codes,
     _table_sequential_log_probs,
     crp_sample_partition,
@@ -155,7 +156,7 @@ class TestSampler:
 
 class RecordedUniforms:
     """Stands in for a Generator: each `random(size)` call draws from the
-    wrapped generator and keeps that step's uniforms."""
+    wrapped generator and keeps the uniforms it drew."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -181,15 +182,17 @@ class ReplayedUniforms:
 class TestBatchSampler:
     @pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (1e6, 0.5)])
     @pytest.mark.parametrize("n", [1, 4, 30])
-    @pytest.mark.parametrize("trials", [1, 7, 500])
+    # _TILE + 1 trials are seated in two column tiles
+    @pytest.mark.parametrize("trials", [1, 7, 500, _TILE + 1])
     def test_each_row_is_the_seating_loop_fed_its_column(self, alpha, d, n, trials):
-        # row r must seat with column r of every step's uniforms
+        # the uniforms are one (n - 1, trials) block, empty at n = 1, and row r
+        # must seat with column r of it
         params = PYParams(alpha, d)
         rng = RecordedUniforms(np.random.default_rng(1000 * n + trials))
         labels = sample_label_matrix(params, n, trials, rng)
         assert labels.shape == (trials, n)
-        assert [u.shape for u in rng.steps] == [(trials,)] * (n - 1)
-        uniforms = np.array(rng.steps).reshape(n - 1, trials)
+        assert [u.shape for u in rng.steps] == [(n - 1, trials)]
+        uniforms = rng.steps[0]
         for r in range(trials):
             replay = ReplayedUniforms(uniforms[:, r])
             want = seat_partition(params, n, replay)

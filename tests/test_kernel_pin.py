@@ -6,7 +6,9 @@ same sums with accumulates along axis 0.  Both must add the same floats in the
 same order and read the same uniforms.  Labels and hit sizes alone would
 hardly ever show a sum that is one ulp off, so the uniforms are handed out as
 `LoggedUniforms`, which log every array they are compared with or scaled by:
-the running sums themselves, in the order the kernel takes them.
+the running sums themselves, in the order the kernel takes them.  The
+restaurant kernel seats its columns in tiles of `crp._TILE`, all steps of a
+tile before the next, so the reference's sums are compared tile by tile.
 """
 
 from unittest import mock
@@ -16,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pitmanyor.crp as crp
 import pitmanyor.stickbreak as sb
 import reference
 from pitmanyor.core import PYParams
-from pitmanyor.crp import sample_label_matrix
 
 # d = 1/3 as well, since (s - d) + 1 and (s + 1) - d differ there from s = 2 on,
 # while they are equal at every block size for the other discounts
@@ -29,7 +31,8 @@ CONFIGS = pytest.mark.parametrize(
      (0.5, 1 / 3)],
 )
 SIZES = pytest.mark.parametrize("n", [1, 2, 4, 8, 10])
-TRIALS = (1, 7, 32768)
+# crp._TILE + 1 ends on a one-column tile
+TRIALS = (1, 7, crp._TILE + 1, 32768)
 SEEDS = (0, 1, 2)
 # `sums < u` may reach a subclass of u as np.greater(u, sums)
 COMPARISONS = (np.less, np.less_equal, np.greater, np.greater_equal)
@@ -74,14 +77,28 @@ class LoggingGenerator:
         return b"".join(x.tobytes() for x in self.log)
 
 
-def assert_same_draws(kernel, ref, *args, seed):
+def assert_same_draws(kernel, ref, *args, seed, regroup=lambda log: log):
+    """`regroup` puts the reference's logged arrays in the kernel's order."""
     rng, ref_rng = LoggingGenerator(seed), LoggingGenerator(seed)
     got, want = kernel(*args, rng), ref(*args, ref_rng)
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
-    assert rng.logged_bytes() == ref_rng.logged_bytes()
+    assert rng.logged_bytes() == b"".join(x.tobytes() for x in regroup(ref_rng.log))
+
+
+def tile_major(log):
+    """The reference's running sums, one (i + 1, trials) array per step, cut
+    into the column tiles of `crp._TILE`, tile by tile and step by step
+    within a tile, as `crp.sample_label_matrix` takes them."""
+    trials = log[0].shape[1] if log else 0
+    return [step[:, lo:lo + crp._TILE] for lo in range(0, trials, crp._TILE) for step in log]
+
+
+def assert_same_seating(params, n, trials, seed):
+    assert_same_draws(crp.sample_label_matrix, reference.cumsum_label_matrix,
+                      params, n, trials, seed=seed, regroup=tile_major)
 
 
 def stick_weights(alpha, d, trials, seed):
@@ -96,8 +113,7 @@ def stick_weights(alpha, d, trials, seed):
 def test_restaurant_seating_matches_cumsum(alpha, d, n):
     for trials in TRIALS:
         for seed in SEEDS:
-            assert_same_draws(sample_label_matrix, reference.cumsum_label_matrix,
-                              PYParams(alpha, d), n, trials, seed=seed)
+            assert_same_seating(PYParams(alpha, d), n, trials, seed)
 
 
 @CONFIGS
@@ -123,8 +139,7 @@ def requests(draw):
 @settings(max_examples=100, deadline=None)
 def test_both_routes_match_references_anywhere(request):
     params, n, trials, seed = request
-    assert_same_draws(sample_label_matrix, reference.cumsum_label_matrix,
-                      params, n, trials, seed=seed)
+    assert_same_seating(params, n, trials, seed)
     # the whole stick engine, with only its hit-size kernel swapped
     rng, ref_rng = LoggingGenerator(seed), LoggingGenerator(seed)
     got = sb._hit_events(params, n, trials, rng, True)

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,26 @@ class TestHitEventEngine:
         assert (sb._far_hazard(alpha, d, m, hit) > targets).all()
         before = np.maximum(hit - 1.0, sb._TABLE_STICKS)
         assert (sb._far_hazard(alpha, d, m, before) <= targets).all()
+
+    @pytest.mark.parametrize("alpha, d", [(1e5, 5e-324), (251178.0, 1.4e-303)])
+    @pytest.mark.parametrize("sampler", [sample_allocations_batch, sample_partition_labels_batch])
+    def test_vanishing_discount_draws_as_zero(self, alpha, d, sampler):
+        # below d = 2^-106 every hazard and hit-size weight rounds to its d = 0
+        # value, so a seed gives the d = 0 draws; the gamma-ratio far hazard
+        # was NaN there and sent every far search to stick inf
+        got = sampler(PYParams(alpha, d), 4, 20_000, np.random.default_rng(11))
+        want = sampler(PYParams(alpha, 0.0), 4, 20_000, np.random.default_rng(11))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha, d", [(5e-324, 0.0), (0.0, 5e-324), (0.0, 1e-25)])
+    @pytest.mark.parametrize("sampler", [sample_allocations_batch, sample_partition_labels_batch])
+    def test_sure_first_stick_takes_every_row_whole(self, alpha, d, sampler):
+        # stick 1 takes every observation to rounding: its hazard is inf and
+        # the last hit-size weight overflows to inf, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z = sampler(PYParams(alpha, d), 6, 1000, np.random.default_rng(12))
+        assert (z == 1).all()
 
     def test_full_labels_past_2_53_raise(self, monkeypatch):
         monkeypatch.setattr(sb, "_MAX_LABEL", 10.0)
