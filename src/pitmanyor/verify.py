@@ -12,6 +12,11 @@ table, Prop A's marginal over each label grid with one
 over every size profile of n <= 4 with one `marginal._lemma_b_truncated_sums`
 walk per truncation.  Each value is bit-identical to its scalar entry point.
 
+The beta-moment Monte Carlo check draws its four configs' seeded streams
+concurrently on a thread pool (`Generator.beta` runs with the GIL
+released).  Each record depends only on its own stream, so the records do
+not depend on scheduling or on the number of workers.
+
 The label-sum bridge ("lemma_b_bridge_at_60") rebuilds partition
 probabilities from the label sum truncated at 60.  A rebuilt value is the
 probability of the partition *and* every label <= 60, so the check compares
@@ -28,6 +33,7 @@ README for the full analysis.
 """
 
 import math
+import os
 from functools import partial
 from itertools import product
 
@@ -47,7 +53,6 @@ from .marginal import (
     lemma_d_check,
     truncated_label_mass,
 )
-from .stickbreak import beta_sample
 
 __all__ = ["SUITES", "run_suite", "default_parameter_grid"]
 
@@ -77,6 +82,9 @@ BETA_MOMENT_CONFIGS = (
     (0.5, 1.5, 1.0, 0.0),
     (0.3, 2.7, 2.0, 1.0),
 )
+# draws per `rng.beta` call in the beta-moment Monte Carlo check: chunks of
+# 2^13 to 2^16 take the same time, and the smallest keeps peak memory lowest
+_CHUNK = 1 << 13
 
 
 def default_parameter_grid() -> list[PYParams]:
@@ -92,6 +100,12 @@ def _grid(alpha, d):
     if alpha is None and d is None:
         return default_parameter_grid()
     return [PYParams(alpha, d)]
+
+
+def _check_trials(trials: int) -> None:
+    # the Monte Carlo checks scale by 1/trials and take a ddof=1 spread
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
 
 
 def _record(name, passed, **fields):
@@ -461,20 +475,57 @@ def check_beta_moment_exact(**_):
     ]
 
 
-def check_beta_moment_mc(trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED, **_):
-    out = []
-    for idx, (a, b, c, e) in enumerate(BETA_MOMENT_CONFIGS):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 11, idx]))
+def _beta_moment_stats(config, rng, values):
+    """Mean and sample standard deviation of y^c (1 - y)^e over `values.size`
+    Beta(a, b) draws from `rng`, computed in `values`.
+
+    `Generator.beta` fills in order, so each chunk holds exactly what one
+    call for all the draws would return there.  The reductions are the ones
+    `mean()` and `std(ddof=1)` make on a contiguous 1-D array, in place.
+    """
+    # calls `rng.beta`, not `beta_sample`: no traced public function runs off the main thread
+    a, b, c, e = config
+    trials = values.size
+    for start in range(0, trials, _CHUNK):
         # y^c (1-y)^e in place, with one work array for (1-y)^e; `**=` takes
         # the same scalar-exponent paths as `**`, so no value moves
-        values = beta_sample(a, b, rng, size=trials)
-        work = 1.0 - values
+        y = rng.beta(a, b, min(_CHUNK, trials - start))
+        work = 1.0 - y
         work **= e
-        values **= c
-        values *= work
-        del work
-        emp = float(values.mean())
-        se = float(values.std(ddof=1) / math.sqrt(trials))
+        y **= c
+        np.multiply(y, work, out=values[start : start + y.size])
+    emp = np.add.reduce(values) / trials
+    values -= emp
+    values *= values
+    return float(emp), np.sqrt(np.add.reduce(values) / (trials - 1))
+
+
+def check_beta_moment_mc(trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED, **_):
+    """The beta-moment lemma E[V^c (1 - V)^e] by Monte Carlo, one seeded
+    stream per config, the four streams drawn concurrently on a thread pool.
+
+    Each record depends only on its config's stream, not on scheduling or
+    the number of workers.
+    """
+    _check_trials(trials)
+    # imported here: a module-level import would load the pool module into
+    # every `import pitmanyor`
+    from concurrent.futures import ThreadPoolExecutor
+
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([seed, 11, idx]))
+        for idx in range(len(BETA_MOMENT_CONFIGS))
+    ]
+    workers = min(os.cpu_count() or 1, len(BETA_MOMENT_CONFIGS))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # `map` evaluates its arguments here, so each array is allocated by
+        # the calling thread: glibc gives every pool thread its own heap and
+        # keeps freed arrays of this size resident there
+        arrays = (np.empty(trials) for _ in BETA_MOMENT_CONFIGS)
+        stats = list(pool.map(_beta_moment_stats, BETA_MOMENT_CONFIGS, rngs, arrays))
+    out = []
+    for (a, b, c, e), (emp, std) in zip(BETA_MOMENT_CONFIGS, stats):
+        se = float(std / math.sqrt(trials))
         want = beta_moment(a, b, c, e)
         bound = constants.MC_SIGMA * se
         out.append(
@@ -573,8 +624,7 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     if (alpha is None) != (d is None):
         raise ValueError("alpha and d must be given together")
-    if trials < 2:  # the Monte Carlo checks scale by 1/trials and take a ddof=1 spread
-        raise ValueError(f"trials must be >= 2, got {trials}")
+    _check_trials(trials)
     records = []
     for check in checks:
         records.extend(check(alpha=alpha, d=d, trials=trials, seed=seed))

@@ -17,6 +17,11 @@ pin the evaluators to them bit for bit.
 accumulates along axis 0 (`np.cumsum`, `np.cumprod`, a sum over axis 0),
 which the package's row-at-a-time kernels replaced; the tests pin those
 kernels to them bit for bit on the same random stream.
+
+`check_beta_moment_mc` is the serial beta-moment Monte Carlo check that the
+package's thread-pool check replaced: one `beta_sample` draw of all the
+trials per config, then `mean()` and `std(ddof=1)`.  The tests pin the
+threaded check's records to it byte for byte.
 """
 
 import math
@@ -26,9 +31,11 @@ from itertools import permutations
 
 import numpy as np
 
+from pitmanyor import constants
 from pitmanyor.core import Partition, PYParams, log_rising_factorial, partition_from_allocations
-from pitmanyor.marginal import allocation_stats
+from pitmanyor.marginal import allocation_stats, beta_moment
 from pitmanyor.stickbreak import beta_sample
+from pitmanyor.verify import BETA_MOMENT_CONFIGS, _record
 
 # Sticks one walk may realize before it raises, so that a heavy tail fails
 # loudly instead of hanging.  An observation needs more than L sticks with
@@ -244,3 +251,37 @@ def hit_sizes(d: float, m: int, b: np.ndarray, rng: np.random.Generator) -> np.n
         np.cumsum(cum, axis=0, out=cum)
     u = rng.random(b.size) * cum[-1]
     return 1 + (cum[:-1] <= u).sum(axis=0)
+
+
+def check_beta_moment_mc(trials: int, seed: int) -> list[dict]:
+    """`verify.check_beta_moment_mc` run one config after another, each
+    config's draws made by one `beta_sample` call."""
+    out = []
+    for idx, (a, b, c, e) in enumerate(BETA_MOMENT_CONFIGS):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 11, idx]))
+        values = beta_sample(a, b, rng, size=trials)
+        work = 1.0 - values
+        work **= e
+        values **= c
+        values *= work
+        del work
+        emp = float(values.mean())
+        se = float(values.std(ddof=1) / math.sqrt(trials))
+        want = beta_moment(a, b, c, e)
+        bound = constants.MC_SIGMA * se
+        out.append(
+            _record(
+                "beta_moment_monte_carlo",
+                abs(emp - want) <= bound,
+                a=a,
+                b=b,
+                c=c,
+                e=e,
+                trials=trials,
+                seed=seed,
+                empirical=emp,
+                exact=want,
+                bound=bound,
+            )
+        )
+    return out

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import threading
 
 import pytest
+import reference
 
 from pitmanyor import verify
 from pitmanyor.constants import DEFAULT_SEED, TOL_TRUNCATED
@@ -135,3 +138,24 @@ class TestSuites:
         a = run_suite("lemmaE", trials=20_000, seed=5)
         b = run_suite("lemmaE", trials=20_000, seed=5)
         assert a == b
+
+
+class TestBetaMomentMonteCarlo:
+    CHUNK = verify._CHUNK
+
+    # trial counts around the draw chunk, on one worker and on one per config
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED])
+    @pytest.mark.parametrize("trials", [2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_threaded_records_equal_the_serial_check(self, monkeypatch, trials, seed, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        threads = threading.active_count()
+        got = verify.check_beta_moment_mc(trials=trials, seed=seed)
+        assert threading.active_count() == threads
+        want = reference.check_beta_moment_mc(trials, seed)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize("trials", [1, 0])
+    def test_rejects_fewer_than_two_trials(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 2, got {trials}"):
+            verify.check_beta_moment_mc(trials=trials)
