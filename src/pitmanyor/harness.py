@@ -150,23 +150,13 @@ def run_monte_carlo(
     return EmpiricalPartitionDist(counts, trials, seed, params, sampler, n)
 
 
-def tv_distance(emp: EmpiricalPartitionDist, params: PYParams | None = None) -> float:
-    """Total variation distance between the empirical table and the exact law:
-    half the L1 gap summed over every partition of [n], sampled or not.
-
-    `params` defaults to the parameters the table was sampled under and, if
-    given, must match them; comparing a table against a different law is
-    almost always a bug.
-    """
-    if params is None:
-        params = emp.params
-    elif params != emp.params:
-        raise ValueError(
-            f"parameter mismatch: table sampled under {emp.params}, asked for {params}"
-        )
+def tv_distance(emp: EmpiricalPartitionDist) -> float:
+    """Total variation distance between the empirical table and the exact law
+    it was sampled under: half the L1 gap summed over every partition of [n],
+    sampled or not."""
     freq = np.array([emp.counts.get(C, 0) for C in _partition_table(emp.n)]) / emp.trials
     # accumulate adds the gaps one at a time in table order, as a loop would
-    gap = np.add.accumulate(np.abs(freq - _table_probs(params, emp.n)))[-1]
+    gap = np.add.accumulate(np.abs(freq - _table_probs(emp.params, emp.n)))[-1]
     return 0.5 * float(gap)
 
 

@@ -16,7 +16,8 @@ calls: `_allocation_log_probs` scores every row of a label matrix, and
 `_lemma_b_truncated_sums` evaluates the truncated label sum at many size
 profiles from one walk over the shared prefixes of their gap recursions.
 Both add their terms in the order of the scalar loops they replaced, so a
-value does not depend on which entry point computed it.
+value does not depend on which entry point computed it.  Lemma D's nested
+sums are the same walk with each gap capped.
 """
 
 import math
@@ -211,15 +212,11 @@ def _gap_step(state: np.ndarray, cumratio: np.ndarray, gap_cap: int | None) -> n
     return out
 
 
-def _start_state(total_cap: int) -> np.ndarray:
-    state = np.zeros(total_cap + 1)
-    state[0] = 1.0
-    return state
-
-
-def _gap_sum_dp(alpha: float, d: float, a_seq: Sequence[float], total_cap: int,
-                gap_cap: int | None) -> float:
-    """Sum over gap vectors (b_1..b_k), each b_i >= 1, of
+def _gap_sums(
+    alpha: float, d: float, a_vecs, total_cap: int, gap_cap: int | None = None
+) -> dict:
+    """For each offset vector (a_1..a_k) of a_vecs, keyed by it, the sum over
+    gap vectors (b_1..b_k), each b_i >= 1, of
 
         prod_i prod_{r=0}^{b_i-1} (alpha + (B_{i-1}+r) d) / (a_i + alpha + (B_{i-1}+r) d)
 
@@ -231,26 +228,17 @@ def _gap_sum_dp(alpha: float, d: float, a_seq: Sequence[float], total_cap: int,
     to prefix sums: O(k * total_cap) instead of O(k * total_cap^2).  The lone
     sign-carrying factor alpha (position 1) is taken out as |alpha|; callers
     reapply the sign.
-    """
-    cumratio = _cumratios(alpha, d, total_cap)
-    state = _start_state(total_cap)
-    for a_i in a_seq:
-        state = _gap_step(state, cumratio(a_i), gap_cap)
-    return float(state.sum())
-
-
-def _gap_sums(alpha: float, d: float, a_vecs, total_cap: int) -> dict:
-    """`_gap_sum_dp(alpha, d, a_vec, total_cap, None)` for each of a_vecs,
-    keyed by a_vec, from one depth-first walk over their shared prefixes.
 
     The state after i gaps depends only on the first i offsets, so the
-    vectors are visited in sorted order, which puts every prefix before its
-    extensions, and only the states on the current path are kept.  Each step
-    is the one `_gap_sum_dp` takes, so the values are bit-identical to it.
+    vectors are walked depth first in sorted order, which puts every prefix
+    before its extensions, and only the states on the current path are kept.
+    Each vector's value is what its own walk from the start would give.
     """
     cumratio = _cumratios(alpha, d, total_cap)
+    start = np.zeros(total_cap + 1)
+    start[0] = 1.0
     path: list[float] = []
-    states = [_start_state(total_cap)]
+    states = [start]
     out = {}
     for a_vec in sorted(set(a_vecs)):
         shared = 0
@@ -258,7 +246,7 @@ def _gap_sums(alpha: float, d: float, a_vecs, total_cap: int) -> dict:
             shared += 1
         del path[shared:], states[shared + 1:]
         for a in a_vec[shared:]:
-            states.append(_gap_step(states[-1], cumratio(a), None))
+            states.append(_gap_step(states[-1], cumratio(a), gap_cap))
             path.append(a)
         out[a_vec] = float(states[-1].sum())
     return out
@@ -423,5 +411,5 @@ def lemma_d_check(
     if alpha == 0.0:
         return 0.0, 0.0
     sign = 1.0 if alpha > 0.0 else -1.0
-    lhs = _gap_sum_dp(alpha, d, list(a), k * truncation, truncation)
+    lhs = _gap_sums(alpha, d, [tuple(a)], k * truncation, truncation)[tuple(a)]
     return sign * lhs, rhs

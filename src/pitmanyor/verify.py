@@ -194,6 +194,7 @@ _TV_SEED_OFFSETS = {"stick": 0, "crp": 100}
 
 
 def check_sampler_law_tv(sampler, alpha=None, d=None, trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED, **_):
+    _check_trials(trials)
     configs = THEOREM_CONFIGS if alpha is None else ((alpha, d),)
     bound = _tv_bound(trials)
     out = []

@@ -9,9 +9,15 @@ the frequency tests that take tens of thousands of draws run them.
 `restricted_growth` writes a partition as the first-appearance label string
 that the restaurant sampler returns, for comparing the two.
 
+`log_prob_from_sizes` and `dp_log_prob_from_sizes` are the two-parameter
+and Dirichlet laws as two separate, uncached evaluators; the tests pin the
+package's one cached law evaluator, whose d = 0 branch is the Dirichlet
+law, to them bit for bit.
+
 `allocation_log_prob` and `lemma_b_truncated_sum` are the per-vector and
 per-ordering loops that the package's grid evaluators replaced; the tests
-pin the evaluators to them bit for bit.
+pin the evaluators to them bit for bit.  `_gap_sum` with a per-gap cap is
+lemma D's nested sum, walked on its own rather than as a prefix walk.
 
 `cumsum_label_matrix` and `hit_sizes` are the batch kernels written with
 accumulates along axis 0 (`np.cumsum`, `np.cumprod`, a sum over axis 0),
@@ -175,8 +181,31 @@ def allocation_log_prob(params: PYParams, z) -> float:
     return total
 
 
-def _gap_sum(alpha: float, d: float, a_seq, total_cap: int) -> float:
-    """One ordering's truncated gap sum, every step from scratch."""
+def log_prob_from_sizes(alpha: float, d: float, sizes) -> float:
+    """The law at sorted block sizes, with the leading alpha cancelled:
+    prod_{i=1}^{k-1} (alpha + i d) / (alpha + 1)_(n-1) * prod_c (1 - d)_(|c|-1)."""
+    if d == 0.0:
+        return dp_log_prob_from_sizes(alpha, sizes)
+    n = sum(sizes)
+    k = len(sizes)
+    new_block = sum(math.log(alpha + i * d) for i in range(1, k))
+    within = sum(log_rising_factorial(1.0 - d, s - 1) for s in sizes)
+    return new_block + within - log_rising_factorial(alpha + 1.0, n - 1)
+
+
+def dp_log_prob_from_sizes(alpha: float, sizes) -> float:
+    """The Dirichlet law at sorted block sizes:
+    alpha^k / (alpha)_(n) * prod_c (|c| - 1)!."""
+    n = sum(sizes)
+    k = len(sizes)
+    within = sum(math.lgamma(s) for s in sizes)
+    return k * math.log(alpha) + within - log_rising_factorial(alpha, n)
+
+
+def _gap_sum(alpha: float, d: float, a_seq, total_cap: int, gap_cap: int | None = None) -> float:
+    """One ordering's truncated gap sum, every step from scratch; with
+    gap_cap, each gap is also capped at gap_cap by subtracting the prefix
+    sum that ends gap_cap + 1 totals back."""
     t = np.arange(total_cap + 1, dtype=float)
     num = np.empty(total_cap + 1)
     num[0] = 1.0
@@ -193,6 +222,8 @@ def _gap_sum(alpha: float, d: float, a_seq, total_cap: int) -> float:
         prefix = np.cumsum(scaled)
         state = np.zeros(total_cap + 1)
         state[1:] = cumratio[1:] * prefix[:-1]
+        if gap_cap is not None and total_cap > gap_cap:
+            state[gap_cap + 1:] -= cumratio[gap_cap + 1:] * prefix[: -gap_cap - 1]
     return float(state.sum())
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -11,7 +12,6 @@ from pitmanyor.core import (
     Partition, PYParams, _growth_strings, _partition_table, enumerate_partitions
 )
 from pitmanyor.eppf import (
-    _dp_log_prob_from_sizes,
     _log_prob_from_sizes,
     _size_profiles,
     _table_log_probs,
@@ -134,10 +134,50 @@ class TestLawTable:
 
 
 class TestLawCaches:
-    @pytest.mark.parametrize("cache", [_log_prob_from_sizes, _dp_log_prob_from_sizes])
-    def test_bounded(self, cache):
-        maxsize = cache.cache_info().maxsize
+    def test_bounded(self):
+        maxsize = _log_prob_from_sizes.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
+
+
+# the verify grid and the range's edges: alpha just above -d, a Dirichlet
+# alpha near the smallest normal float, a huge alpha, and d near 1
+LAW_PIN_PARAMS = default_parameter_grid() + [
+    PYParams(-0.3 + 1e-12, 0.3), PYParams(1e-300, 0.0), PYParams(1e6, 0.5), PYParams(3.0, 0.999)
+]
+
+
+def blocks_of(sizes):
+    """A partition with these block sizes, its blocks runs of consecutive
+    elements."""
+    ends = np.cumsum(sizes).tolist()
+    return P([list(range(end - s + 1, end + 1)) for s, end in zip(sizes, ends)])
+
+
+class TestLawPin:
+    """The one cached evaluator against the separate two-parameter and
+    Dirichlet laws of tests/reference.py, bit for bit."""
+
+    @staticmethod
+    def assert_pinned(params, sizes):
+        got = _log_prob_from_sizes(params.alpha, params.d, sizes)
+        assert got.hex() == reference.log_prob_from_sizes(params.alpha, params.d, sizes).hex()
+        if params.alpha > 0.0:
+            want = reference.dp_log_prob_from_sizes(params.alpha, sizes)
+            assert dp_log_prob(params.alpha, blocks_of(sizes)).hex() == want.hex()
+
+    @pytest.mark.parametrize("params", LAW_PIN_PARAMS, ids=str)
+    def test_every_profile_to_n10(self, params):
+        for n in range(1, 11):
+            for sizes in _size_profiles(n)[0]:
+                self.assert_pinned(params, sizes)
+
+    @given(
+        params=st.sampled_from(LAW_PIN_PARAMS),
+        sizes=st.lists(st.integers(1, 200), min_size=1, max_size=40).map(sorted).map(tuple),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_profiles(self, params, sizes):
+        self.assert_pinned(params, sizes)
 
 
 class TestSymmetry:

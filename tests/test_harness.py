@@ -171,12 +171,6 @@ class TestTvDistance:
         expected = 0.5 * (abs(0.25 - 0.75) + abs(0.75 - 0.25))
         assert_allclose(tv_distance(emp), expected, rtol=1e-12)
 
-    def test_mismatched_params_rejected(self):
-        params = PYParams(1.0, 0.5)
-        emp = self.make_emp({P([[1, 2]]): 1}, params)
-        with pytest.raises(ValueError):
-            tv_distance(emp, PYParams(2.0, 0.5))
-
     @pytest.mark.parametrize(
         "params", [PYParams(1.0, 0.5), PYParams(-0.3, 0.5), PYParams(2.0, 0.0)], ids=str
     )
@@ -188,11 +182,6 @@ class TestTvDistance:
                 exact = math.exp(eppf_log_prob(params, partition))
                 gap += abs(emp.counts.get(partition, 0) / emp.trials - exact)
             assert tv_distance(emp) == 0.5 * gap
-
-    def test_explicit_matching_params_ok(self):
-        params = PYParams(1.0, 0.5)
-        emp = self.make_emp({P([[1, 2]]): 1}, params)
-        assert tv_distance(emp, params) == tv_distance(emp)
 
 
 def exact_mean_blocks(alpha, d, n_values):

@@ -25,7 +25,7 @@ from pitmanyor.marginal import (
     lemma_d_check,
     truncated_label_mass,
 )
-from pitmanyor.verify import _bridge_reconstructions
+from pitmanyor.verify import LEMMA_D_GRID, LEMMA_D_TRUNCATIONS, _bridge_reconstructions
 
 P = Partition.from_blocks
 
@@ -464,3 +464,12 @@ class TestGridEvaluators:
         assert [tuple(map(float.hex, v)) for v in got] == [
             tuple(map(float.hex, v)) for v in want
         ]
+
+    @pytest.mark.parametrize("alpha, d, offsets", LEMMA_D_GRID, ids=str)
+    def test_lemma_d_every_truncation(self, alpha, d, offsets):
+        params = PYParams(alpha, d)
+        k = len(offsets)
+        for cap in LEMMA_D_TRUNCATIONS:
+            want = reference._gap_sum(alpha, d, offsets, k * cap, cap)
+            got = lemma_d_check(params, offsets, cap)[0]
+            assert got.hex() == math.copysign(want, alpha).hex()

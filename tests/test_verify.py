@@ -29,6 +29,11 @@ IDENTITY_CHECKS = (
 # the scalar allocation and label-sum loops (x86-64 Linux, numpy 2.4)
 IDENTITY_RECORDS_SHA256 = "60840ed223af0db4567e539c2fc1ee207e74792d7d530e084eefcf0d4f978d0f"
 
+# sha256 of the whole `run_suite("all", trials=20_000)` report at DEFAULT_SEED,
+# as sorted-key JSON: 70 records, the sampler TV, determinism and lemma E
+# records among them (x86-64 Linux, numpy 2.4)
+ALL_SUITE_SHA256 = "f4d4e9023d48b2fb5eab58592055f02d72e9fa21989a52ce8606056058e4f77d"
+
 
 def names(report):
     return {c["name"] for c in report["checks"]}
@@ -46,6 +51,12 @@ class TestSuites:
         records = [r for name in IDENTITY_CHECKS for r in getattr(verify, name)(seed=DEFAULT_SEED)]
         blob = json.dumps(records, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == IDENTITY_RECORDS_SHA256
+
+    def test_all_suite_report_is_pinned(self):
+        report = run_suite("all", trials=20_000)
+        assert len(report["checks"]) == 70
+        blob = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == ALL_SUITE_SHA256
 
     def test_normalization_passes(self):
         report = run_suite("normalization")
@@ -159,3 +170,11 @@ class TestBetaMomentMonteCarlo:
     def test_rejects_fewer_than_two_trials(self, trials):
         with pytest.raises(ValueError, match=f"trials must be >= 2, got {trials}"):
             verify.check_beta_moment_mc(trials=trials)
+
+
+class TestSamplerLawTv:
+    @pytest.mark.parametrize("sampler", ["stick", "crp"])
+    @pytest.mark.parametrize("trials", [1, 0])
+    def test_rejects_fewer_than_two_trials(self, sampler, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 2, got {trials}"):
+            verify.check_sampler_law_tv(sampler, trials=trials)
