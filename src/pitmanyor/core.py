@@ -5,9 +5,9 @@ and gamma ratios (one Stirling kernel, also behind the stick engine's hazard)
 and exhaustive partition enumeration.  Everything here is a pure function and
 safe to call from any number of threads.  The per-n tables are cached and
 immutable, so every caller may share them.  `_growth_strings(n)`, one
-read-only array, fixes the table order and feeds every per-n array of the
-other modules; `_partition_table(n)` is its `Partition` view, and
-`_table_index` maps any label matrix's rows back to their table rows.
+read-only array, fixes the table order and indexes every per-n array and
+tally; `_partition_table(n)` is its `Partition` view and the one enumerator,
+and `_table_index` maps any label matrix's rows back to their table rows.
 """
 
 import math
@@ -26,17 +26,13 @@ __all__ = [
     "log_gamma_ratio",
     "enumerate_partitions",
     "partition_from_allocations",
-    "MAX_ENUMERATION_N",
     "MAX_NORMALIZATION_N",
 ]
 
 # Log-domain probability: a float <= 0, with -inf marking an impossible event.
 LogProb = float
 
-# Bell(12) = 4,213,597 is the practical ceiling for exhaustive enumeration.
-MAX_ENUMERATION_N = 12
-
-# Largest n the exhaustive law sums run at; Bell(10) = 115,975 partitions.
+# Largest n of every per-n table, enumeration and tally; Bell(10) = 115,975.
 MAX_NORMALIZATION_N = 10
 
 # Below this the rising factorial is a direct sum of logs (exact for the small
@@ -219,41 +215,20 @@ def partition_from_allocations(z: Sequence[int]) -> Partition:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Yield every set partition of [n] exactly once, in canonical form.
-
-    Generation walks restricted growth strings (first label fixed, each next
-    label at most one above the running maximum), which produces canonical
-    representatives directly.  Lazily evaluated; each iterator instance is
-    single-consumer.
-    """
-    n = _checked_n(n, MAX_ENUMERATION_N)
-
-    blocks: list[list[int]] = []
-
-    def grow(i: int) -> Iterator[Partition]:
-        if i > n:
-            yield Partition(tuple(tuple(b) for b in blocks), n)
-            return
-        for j in range(len(blocks)):
-            blocks[j].append(i)
-            yield from grow(i + 1)
-            blocks[j].pop()
-        blocks.append([i])
-        yield from grow(i + 1)
-        blocks.pop()
-
-    yield from grow(1)
+    """Yield every set partition of [n] once, in canonical form: the cached
+    `_partition_table(n)`, n <= MAX_NORMALIZATION_N (kept: 52 MB at n = 10)."""
+    yield from _partition_table(n)
 
 
-def _checked_n(n, top: int) -> int:
-    """n as a plain int, read through `operator.index` so numpy integers
-    pass; anything else, or a value outside 1..top, raises the one message."""
+def _checked_n(n) -> int:
+    """n as a plain int, read through `operator.index` so numpy integers pass;
+    anything else, or a value outside 1..MAX_NORMALIZATION_N, raises."""
     try:
         value = operator.index(n)
     except TypeError:
         value = 0
-    if not 1 <= value <= top:
-        raise ValueError(f"n must be an integer in 1..{top}, got {n!r}")
+    if not 1 <= value <= MAX_NORMALIZATION_N:
+        raise ValueError(f"n must be an integer in 1..{MAX_NORMALIZATION_N}, got {n!r}")
     return value
 
 
@@ -265,7 +240,7 @@ def _per_n_table(build):
 
     @wraps(build)
     def table(n):
-        n = _checked_n(n, MAX_NORMALIZATION_N)
+        n = _checked_n(n)
         if n not in tables:
             tables[n] = build(n)
         return tables[n]
@@ -276,9 +251,9 @@ def _per_n_table(build):
 @_per_n_table
 def _growth_strings(n: int) -> np.ndarray:
     """Every restricted growth string of length n, read-only, one row per
-    partition in `enumerate_partitions` order (each prefix is extended by
-    0..max + 1): row r holds the 0-based block of each element of
-    `_partition_table(n)[r]`.  At n = 10 the matrix holds about 9 MB.
+    partition in lexicographic order (each prefix is extended by 0..max + 1):
+    row r, the table index r of tallies, holds the 0-based block of each
+    element of `_partition_table(n)[r]`.  At n = 10 it holds about 9 MB.
     """
     z = np.zeros((1, 1), dtype=np.int64)
     for _ in range(1, n):
@@ -319,8 +294,8 @@ def _table_index(z) -> np.ndarray:
 
 @_per_n_table
 def _partition_table(n: int) -> tuple[Partition, ...]:
-    """`_growth_strings(n)` as `Partition` objects, in the same order: the
-    keys that `run_monte_carlo`, `sample_partitions` and `tv_distance` hand
+    """`_growth_strings(n)` as `Partition` objects, in the same order: what
+    `enumerate_partitions`, `sample_partitions` and a tally's `counts` hand
     out.  The n = 8 table holds about 1.6 MB and the n = 10 one about 52 MB.
 
     Growth strings are canonical by construction, so the partitions skip

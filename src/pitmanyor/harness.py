@@ -17,10 +17,10 @@ import numpy as np
 # enumerate_partitions stays importable from here: the benchmark's worker
 # reads harness.enumerate_partitions
 from .core import (
-    MAX_NORMALIZATION_N,
     Partition,
     PYParams,
     _checked_n,
+    _growth_strings,
     _partition_table,
     _table_index,
     enumerate_partitions,  # noqa: F401
@@ -71,19 +71,31 @@ def parse_partition(text: str) -> Partition:
     return Partition.from_blocks(blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalPartitionDist:
-    """Frequency table of sampled partitions, keyed by canonical partition."""
+    """Sampled partitions of [n] as a read-only int vector: `tally[r]` counts
+    row r of `_growth_strings(n)`.  `counts` and `freq` are its views by
+    `Partition`; instances compare by identity, so compare their tallies."""
 
-    counts: dict[Partition, int]
+    tally: np.ndarray
     trials: int
     seed: int
     params: PYParams
     sampler: str
     n: int
 
+    @property
+    def counts(self) -> dict[Partition, int]:
+        """The drawn partitions and their counts, in table order (builds the table)."""
+        drawn = np.flatnonzero(self.tally).tolist()
+        return dict(zip(map(_partition_table(self.n).__getitem__, drawn), self.tally[drawn].tolist()))
+
     def freq(self, partition: Partition) -> float:
-        return self.counts.get(partition, 0) / self.trials
+        if partition.n != self.n:
+            return 0.0
+        # the partition's growth string: each element's block, in element order
+        labels = sorted((e, b) for b, block in enumerate(partition.blocks) for e in block)
+        return int(self.tally[_table_index([[b for _, b in labels]])[0]]) / self.trials
 
 
 def _batch_jobs(params, n, trials, sampler, seed):
@@ -93,7 +105,7 @@ def _batch_jobs(params, n, trials, sampler, seed):
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {tuple(SAMPLERS)}, got {sampler!r}")
-    n = _checked_n(n, MAX_NORMALIZATION_N)
+    n = _checked_n(n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n_batches = -(-trials // BATCH_TRIALS)
@@ -104,7 +116,7 @@ def _batch_jobs(params, n, trials, sampler, seed):
 
 
 def _batch_index(job) -> np.ndarray:
-    """`_partition_table(n)` indices of one batch's partitions: the label
+    """`_growth_strings(n)` row indices of one batch's partitions: the label
     rows drawn from the batch's own stream, ranked by `_table_index`."""
     params, n, size, sampler, child = job
     return _table_index(SAMPLERS[sampler](params, n, size, np.random.default_rng(child)))
@@ -122,9 +134,9 @@ def sample_partitions(
 def run_monte_carlo(
     params: PYParams, n: int, trials: int, sampler: str, seed: int, workers: int | None = None
 ) -> EmpiricalPartitionDist:
-    """Tabulate sampled partitions of [n]; n is capped so the frequency table
-    stays comparable against exhaustive enumeration.  Keys are the drawn
-    entries of `_partition_table(n)`, in table order.
+    """Tally sampled partitions of [n], one `bincount` of table indices per
+    batch, summed; n is capped so the tally stays comparable against
+    exhaustive enumeration.  No `Partition` is built.
 
     Batches run on a process pool (`workers` defaults to the CPU count) and
     return their rows' growth-string ranks, the table indices the parent
@@ -143,20 +155,17 @@ def run_monte_carlo(
             indices = list(pool.map(_batch_index, jobs))
     else:
         indices = map(_batch_index, jobs)
-    table = _partition_table(n)
-    totals = sum(np.bincount(index, minlength=len(table)) for index in indices)
-    drawn = np.flatnonzero(totals).tolist()
-    counts = dict(zip(map(table.__getitem__, drawn), totals[drawn].tolist()))
-    return EmpiricalPartitionDist(counts, trials, seed, params, sampler, n)
+    tally = sum(np.bincount(index, minlength=len(_growth_strings(n))) for index in indices)
+    tally.flags.writeable = False
+    return EmpiricalPartitionDist(tally, trials, seed, params, sampler, n)
 
 
 def tv_distance(emp: EmpiricalPartitionDist) -> float:
     """Total variation distance between the empirical table and the exact law
     it was sampled under: half the L1 gap summed over every partition of [n],
     sampled or not."""
-    freq = np.array([emp.counts.get(C, 0) for C in _partition_table(emp.n)]) / emp.trials
     # accumulate adds the gaps one at a time in table order, as a loop would
-    gap = np.add.accumulate(np.abs(freq - _table_probs(emp.params, emp.n)))[-1]
+    gap = np.add.accumulate(np.abs(emp.tally / emp.trials - _table_probs(emp.params, emp.n)))[-1]
     return 0.5 * float(gap)
 
 

@@ -106,7 +106,8 @@ def _far_hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
 def _hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
     """H_m(j) = -log P(sticks 1..j all miss m observations) for float stick
     indices j >= 0: the cached table up to _TABLE_STICKS, beyond it a closed
-    form in gamma ratios from the Stirling kernel of `core`, inf at j = inf."""
+    form in gamma ratios from the Stirling kernel of `core`, inf at j = inf
+    and past a table that ends at inf (the hazard never decreases)."""
     table = _hazard_table(alpha, d, m)
     out = np.full(j.shape, np.inf)
     near = j <= _TABLE_STICKS
@@ -114,7 +115,7 @@ def _hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
     far = ~near & np.isfinite(j)
     # at tiny alpha + d the closed form's own constants lose every digit and
     # warn, though no search gets past the table there
-    if far.any():
+    if far.any() and table[-1] < np.inf:
         out[far] = table[-1] + _far_hazard(alpha, d, m, j[far])
     return out
 

@@ -8,6 +8,8 @@ the restaurant rule one observation at a time.  Both are cheap per draw, so
 the frequency tests that take tens of thousands of draws run them.
 `restricted_growth` writes a partition as the first-appearance label string
 that the restaurant sampler returns, for comparing the two.
+`enumerate_partitions` is the recursive enumerator that the package's
+growth-string table replaced; the tests compare that table to it.
 
 `log_prob_from_sizes` and `dp_log_prob_from_sizes` are the two-parameter
 and Dirichlet laws as two separate, uncached evaluators; the tests pin the
@@ -161,6 +163,27 @@ def restricted_growth(partition: Partition) -> tuple[int, ...]:
         for e in block:
             z[e - 1] = b
     return tuple(z)
+
+
+def enumerate_partitions(n: int):
+    """Yield every set partition of [n] once, each validated by `Partition`:
+    element i joins each open block in turn, then opens a new one, which
+    walks the restricted growth strings in lexicographic order."""
+    blocks: list[list[int]] = []
+
+    def grow(i: int):
+        if i > n:
+            yield Partition(tuple(tuple(b) for b in blocks), n)
+            return
+        for j in range(len(blocks)):
+            blocks[j].append(i)
+            yield from grow(i + 1)
+            blocks[j].pop()
+        blocks.append([i])
+        yield from grow(i + 1)
+        blocks.pop()
+
+    yield from grow(1)
 
 
 def allocation_log_prob(params: PYParams, z) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -240,6 +241,26 @@ EMITTED = {
                    "--csv"],
     "verify-json": ["verify", "--suite", "lemmaC"],
 }
+
+# sha256 of each case's stdout (x86-64 Linux, numpy 2.4)
+EMITTED_SHA256 = {
+    "eppf-json": "70e8dc99a4af8abaedb42b67c1e1455e07fc75d7ff57bed2bda96f5b109aaad1",
+    "eppf-csv": "499d0f2cdfd4ccad181a6f49fd152ba1820f3eca1249c2f532f54d1d3f8aaa02",
+    "sample-json": "49843fc1d376632628e40236a3ea8fa978fdcffb1d92d598f01a58d63cdeebd2",
+    "sample-csv": "ff671f2502d26fa27eaade13bd71fd370caceb36099aa982a6a4d9133c2210eb",
+    "tabulate-json": "d160df31e9164f354586e9cc2de562214be0eaba061eb5c6179a29f05ffd3359",
+    "tabulate-csv": "4bb89bab4c2776e1c87bc075a7a8c54fca48f3357927a03655d09d033eee8911",
+    "growth-json": "5ff6417fbfd9ef3bded8d80d317393671340d95235f486ae5206456972c9e176",
+    "growth-csv": "44698d79796a64b4cc26916249db6a4c2cd900b3bb061d740e266cb73ec34698",
+    "verify-json": "7dfd871741fab62339c83716bb2c6c904a7f7efe7ea1ae41a517fc0baaaa1e73",
+}
+
+
+@pytest.mark.parametrize("case", EMITTED)
+def test_stdout_is_pinned(capsys, case):
+    code, out, _ = run_cli(capsys, *EMITTED[case])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EMITTED_SHA256[case]
 
 
 class TestAtomicOutput:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pitmanyor.core import Partition, PYParams, enumerate_partitions
+from pitmanyor import harness, verify
+from pitmanyor.core import Partition, PYParams, _growth_strings, _table_index, enumerate_partitions
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import (
     MAX_GROWTH_N,
@@ -150,8 +151,11 @@ class TestSamplePartitions:
 class TestTvDistance:
     def make_emp(self, counts, params):
         n = next(iter(counts)).n
+        tally = np.zeros(len(_growth_strings(n)), dtype=np.int64)
+        for partition, count in counts.items():
+            tally[_table_index([restricted_growth(partition)])] += count
         return EmpiricalPartitionDist(
-            counts, sum(counts.values()), 0, params, "crp", n
+            tally, sum(counts.values()), 0, params, "crp", n
         )
 
     def test_exact_distribution_gives_zero(self):
@@ -182,6 +186,35 @@ class TestTvDistance:
                 exact = math.exp(eppf_log_prob(params, partition))
                 gap += abs(emp.counts.get(partition, 0) / emp.trials - exact)
             assert tv_distance(emp) == 0.5 * gap
+
+
+class TestTallyWithoutPartitionTable:
+    @pytest.fixture
+    def no_table(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"built the Partition table at n={n}")
+
+        monkeypatch.setattr(harness, "_partition_table", refuse)
+
+    @pytest.mark.parametrize("sampler", ["stick", "crp"])
+    def test_monte_carlo_and_tv_at_n10(self, no_table, sampler):
+        emp = run_monte_carlo(PYParams(1.0, 0.5), 10, 2000, sampler, 50, workers=1)
+        assert emp.tally.shape == (115_975,) and not emp.tally.flags.writeable
+        assert emp.tally.sum() == 2000
+        assert 0.0 < tv_distance(emp) <= 1.0
+
+    def test_verify_sampling_checks(self, no_table):
+        for sampler in SAMPLERS:
+            records = verify.check_sampler_law_tv(sampler, trials=2000)
+            assert all(r["passed"] for r in records)
+        assert all(r["passed"] for r in verify.check_sampling_determinism())
+
+    def test_freq_reads_the_tally(self, no_table):
+        emp = run_monte_carlo(PYParams(1.0, 0.5), 10, 2000, "crp", 51, workers=1)
+        singletons = P([[i] for i in range(1, 11)])
+        index = _table_index([restricted_growth(singletons)])[0]
+        assert emp.freq(singletons) == emp.tally[index] / 2000 > 0.0
+        assert emp.freq(P([[1, 2]])) == 0.0
 
 
 def exact_mean_blocks(alpha, d, n_values):

@@ -195,6 +195,15 @@ class TestTruncatedNormalization:
                 for r in range(1, 4))])
             assert_allclose(truncated_label_mass(params, 3, level), want, rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha, d", [(0.0, 1e-25), (1e-30, 1e-25), (0.0, 1e-30)])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_kept_mass_with_a_sure_first_stick(self, alpha, d, n):
+        # stick 1 takes every observation to rounding, so the hazard is inf
+        # from the table's end on; the far closed form added to it gave
+        # inf - inf = NaN, with RuntimeWarnings
+        for level in (20_000, 100_000):
+            assert truncated_label_mass(PYParams(alpha, d), n, level) == 1.0
+
     def test_kept_mass_validation(self):
         with pytest.raises(ValueError):
             truncated_label_mass(PYParams(1.0, 0.5), 0, 10)
@@ -469,7 +478,9 @@ class TestGridEvaluators:
     def test_lemma_d_every_truncation(self, alpha, d, offsets):
         params = PYParams(alpha, d)
         k = len(offsets)
-        for cap in LEMMA_D_TRUNCATIONS:
+        # below 40 the cap carries real mass, so a last-bit change in the
+        # capped subtraction shows; the verify truncations follow
+        for cap in (*range(1, 41), *LEMMA_D_TRUNCATIONS):
             want = reference._gap_sum(alpha, d, offsets, k * cap, cap)
             got = lemma_d_check(params, offsets, cap)[0]
             assert got.hex() == math.copysign(want, alpha).hex()
