@@ -10,6 +10,8 @@ defaults to a fixed constant, so identical invocations are byte-identical.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -193,7 +195,10 @@ def cli_main(argv=None) -> int:
             raise ValueError("seed must be nonnegative")
         doc, header, rows = _HANDLERS[args.command](args)
         if getattr(args, "csv", False):
-            text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+            # a partition's text holds commas, so such fields are quoted
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+            text = buffer.getvalue()
         else:
             text = json.dumps(doc, indent=2) + "\n"
         _emit(text, args.out)

@@ -7,7 +7,8 @@ safe to call from any number of threads.  The per-n tables are cached and
 immutable, so every caller may share them.  `_growth_strings(n)`, one
 read-only array, fixes the table order and indexes every per-n array and
 tally; `_partition_table(n)` is its `Partition` view and the one enumerator,
-and `_table_index` maps any label matrix's rows back to their table rows.
+`_growth_string` gives one `Partition`'s row, and `_table_index` maps any
+label matrix's rows back to their table rows.
 """
 
 import math
@@ -263,6 +264,13 @@ def _growth_strings(n: int) -> np.ndarray:
         z = np.column_stack([z[parent], digit])
     z.flags.writeable = False
     return z
+
+
+def _growth_string(partition: Partition) -> list[int]:
+    """The 0-based block of each element of `partition`, in element order:
+    its row of `_growth_strings(partition.n)`."""
+    block_of = {e: b for b, block in enumerate(partition.blocks) for e in block}
+    return [block_of[e] for e in range(1, partition.n + 1)]
 
 
 def _table_index(z) -> np.ndarray:

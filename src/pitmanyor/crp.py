@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .core import (
-    LogProb, Partition, PYParams, _growth_strings, _per_n_table, partition_from_allocations
+    LogProb, Partition, PYParams, _growth_string, _growth_strings, _per_n_table,
+    partition_from_allocations,
 )
 
 __all__ = [
@@ -94,8 +95,7 @@ def sequential_log_prob(params: PYParams, partition: Partition) -> LogProb:
     tables, on the partition's own growth string, so the scalar and table
     values agree bit for bit at any n.
     """
-    block_of = {e: b for b, block in enumerate(partition.blocks) for e in block}
-    z = np.array([[block_of[e] for e in range(1, partition.n + 1)]], dtype=np.intp)
+    z = np.array([_growth_string(partition)], dtype=np.intp)
     return float(_sequential_log_probs(params, _seating_codes(z))[0])
 
 

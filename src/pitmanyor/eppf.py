@@ -67,13 +67,9 @@ def eppf_log_prob(params: PYParams, partition: Partition) -> LogProb:
 
 def dp_log_prob(alpha: float, partition: Partition) -> LogProb:
     """log probability under the one-parameter (Dirichlet) law:
-    alpha^k / (alpha)_(n) * prod_c (|c| - 1)!."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if partition.num_blocks == 0:
-        raise ValueError("partition must have at least one block")
-    sizes = tuple(sorted(partition.block_sizes()))
-    return _log_prob_from_sizes(alpha, 0.0, sizes)
+    alpha^k / (alpha)_(n) * prod_c (|c| - 1)!, the d = 0 case of
+    `eppf_log_prob`."""
+    return eppf_log_prob(PYParams(alpha, 0.0), partition)
 
 
 @_per_n_table

@@ -20,6 +20,7 @@ from .core import (
     Partition,
     PYParams,
     _checked_n,
+    _growth_string,
     _growth_strings,
     _partition_table,
     _table_index,
@@ -93,9 +94,7 @@ class EmpiricalPartitionDist:
     def freq(self, partition: Partition) -> float:
         if partition.n != self.n:
             return 0.0
-        # the partition's growth string: each element's block, in element order
-        labels = sorted((e, b) for b, block in enumerate(partition.blocks) for e in block)
-        return int(self.tally[_table_index([[b for _, b in labels]])[0]]) / self.trials
+        return int(self.tally[_table_index([_growth_string(partition)])[0]]) / self.trials
 
 
 def _batch_jobs(params, n, trials, sampler, seed):

@@ -17,7 +17,8 @@ calls: `_allocation_log_probs` scores every row of a label matrix, and
 profiles from one walk over the shared prefixes of their gap recursions.
 Both add their terms in the order of the scalar loops they replaced, so a
 value does not depend on which entry point computed it.  Lemma D's nested
-sums are the same walk with each gap capped.
+sums are the same walk with each gap capped.  Lemmas B and C read the k!
+block orders from one table of their suffix sums, `_suffix_sums`.
 """
 
 import math
@@ -160,19 +161,6 @@ def beta_moment(a: float, b: float, c: float, e: float) -> float:
     )
 
 
-def _distinct_suffix_sum_orders(sizes: Sequence[int]) -> Counter:
-    """Multiplicities of the distinct suffix-sum vectors over all orderings."""
-    out: Counter = Counter()
-    for perm in permutations(sizes):
-        suffix = []
-        running = 0
-        for s in reversed(perm):
-            running += s
-            suffix.append(running)
-        out[tuple(reversed(suffix))] += 1
-    return out
-
-
 def _cumratios(alpha: float, d: float, total_cap: int):
     """The gap-sum recursion's cumulative ratio array for an offset a,
 
@@ -266,7 +254,7 @@ def _lemma_b_truncated_sums(
     if params.alpha == 0.0:
         # every term carries the factor alpha; both sides vanish
         return [(0.0, 0.0)] * len(profiles)
-    orders = [_distinct_suffix_sum_orders(sizes) for sizes in profiles]
+    orders = [Counter(map(tuple, _suffix_sums(sizes).tolist())) for sizes in profiles]
     sums = _gap_sums(params.alpha, params.d, [a for order in orders for a in order], max_label)
     sign = 1.0 if params.alpha > 0.0 else -1.0
     out = []
@@ -343,11 +331,19 @@ def truncated_label_mass(params: PYParams, n: int, max_label: int) -> float:
 
 @lru_cache(maxsize=MAX_PERMUTATION_K)
 def _permutation_orders(k: int) -> np.ndarray:
-    """Every ordering of range(k), one per row; read-only, since each call
-    for the same k shares the array."""
-    orders = np.array(list(permutations(range(k))))
+    """Every ordering of range(k), one per row (k = 0 gives one empty row);
+    read-only, since each call for the same k shares the array."""
+    orders = np.array(list(permutations(range(k))), dtype=np.intp)
     orders.flags.writeable = False
     return orders
+
+
+def _suffix_sums(sizes: Sequence[int]) -> np.ndarray:
+    """The block-order table: row r holds the suffix sums of `sizes` taken
+    in the r-th order of `_permutation_orders`, itertools.permutations'
+    order, so a Counter over the rows meets each vector in that order."""
+    picked = np.asarray(sizes)[_permutation_orders(len(sizes))]
+    return np.cumsum(picked[:, ::-1], axis=1)[:, ::-1]
 
 
 def lemma_c_check(sizes: Sequence[int], d: float) -> tuple[float, float]:
@@ -366,12 +362,9 @@ def lemma_c_check(sizes: Sequence[int], d: float) -> tuple[float, float]:
     for s in sizes:
         if not isinstance(s, (int, np.integer)) or s < 1:
             raise ValueError(f"sizes must be integers >= 1, got {s!r}")
-    arr = np.asarray(sizes, dtype=float)
-    picked = arr[_permutation_orders(k)]
-    suffix = np.cumsum(picked[:, ::-1], axis=1)[:, ::-1]
-    denom = suffix - d * np.arange(k, 0, -1, dtype=float)
+    denom = _suffix_sums(sizes) - d * np.arange(k, 0, -1, dtype=float)
     lhs = float((1.0 / denom).prod(axis=1).sum())
-    rhs = float(1.0 / np.prod(arr - d))
+    rhs = float(1.0 / np.prod(np.asarray(sizes, dtype=float) - d))
     return lhs, rhs
 
 

@@ -118,66 +118,59 @@ def _record(name, passed, **fields):
 # exact / enumeration checks
 
 
-def _worst_over_grid(name, gap, alpha, d):
-    """One record per grid point: the largest `gap(params, n)` over n = 1..8."""
-    max_n = 8
+def _worst_records(name, configs, gap, tolerance, **fields):
+    """One record per config: the largest of the errors `gap(params, **fields)`
+    yields, passing at or below `tolerance`.  `fields` (max_n, for the
+    checks whose errors run over n = 1..max_n) are also written to the
+    record, between d and the error."""
     out = []
-    for params in _grid(alpha, d):
-        worst = max(gap(params, n) for n in range(1, max_n + 1))
+    for params in configs:
+        worst = max(gap(params, **fields))
         out.append(
             _record(
                 name,
-                worst <= constants.TOL_EXHAUSTIVE,
+                worst <= tolerance,
                 alpha=params.alpha,
                 d=params.d,
-                max_n=max_n,
+                **fields,
                 max_abs_error=worst,
-                tolerance=constants.TOL_EXHAUSTIVE,
+                tolerance=tolerance,
             )
         )
     return out
 
 
 def check_normalization(alpha=None, d=None, **_):
-    return _worst_over_grid(
-        "eppf_normalization", lambda p, n: abs(normalization_check(p, n) - 1.0), alpha, d
+    def gap(params, max_n):
+        return (abs(normalization_check(params, n) - 1.0) for n in range(1, max_n + 1))
+
+    return _worst_records(
+        "eppf_normalization", _grid(alpha, d), gap, constants.TOL_EXHAUSTIVE, max_n=8
     )
 
 
 def check_sequential_identity(alpha=None, d=None, **_):
-    def gap(params, n):
-        diff = _table_sequential_log_probs(params, n) - _table_log_probs(params, n)
-        return float(np.abs(diff).max())
+    def gap(params, max_n):
+        for n in range(1, max_n + 1):
+            diff = _table_sequential_log_probs(params, n) - _table_log_probs(params, n)
+            yield float(np.abs(diff).max())
 
-    return _worst_over_grid("sequential_product_identity", gap, alpha, d)
+    return _worst_records(
+        "sequential_product_identity", _grid(alpha, d), gap, constants.TOL_EXHAUSTIVE, max_n=8
+    )
 
 
 def check_dp_limit(alpha=None, d=None, **_):
     alphas = DP_LIMIT_ALPHAS if alpha is None else (alpha,)
-    max_n = 6
-    out = []
-    for a in alphas:
-        if not a > 0:
-            continue
-        params = PYParams(a, constants.DP_LIMIT_DISCOUNT)
+    configs = [PYParams(a, constants.DP_LIMIT_DISCOUNT) for a in alphas if a > 0]
+
+    def gap(params, max_n):
         # d = 0 evaluates the Dirichlet branch, as dp_log_prob does
-        dirichlet = PYParams(a, 0.0)
-        worst = max(
-            float(np.abs(_table_probs(params, n) - _table_probs(dirichlet, n)).max())
-            for n in range(1, max_n + 1)
-        )
-        out.append(
-            _record(
-                "dirichlet_limit",
-                worst <= constants.TOL_DP_LIMIT,
-                alpha=a,
-                d=constants.DP_LIMIT_DISCOUNT,
-                max_n=max_n,
-                max_abs_error=worst,
-                tolerance=constants.TOL_DP_LIMIT,
-            )
-        )
-    return out
+        dirichlet = PYParams(params.alpha, 0.0)
+        for n in range(1, max_n + 1):
+            yield float(np.abs(_table_probs(params, n) - _table_probs(dirichlet, n)).max())
+
+    return _worst_records("dirichlet_limit", configs, gap, constants.TOL_DP_LIMIT, max_n=6)
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +256,15 @@ def check_allocation_marginal_oracle(alpha=None, d=None, **_):
         if alpha is None
         else [(alpha, d)]
     )
-    out = []
     grids = [np.array(list(product(range(1, 5), repeat=n))) for n in (1, 2, 3)]
-    for a, dd in pairs:
-        params = PYParams(a, dd)
-        worst = 0.0
+
+    def gap(params):
         for z in grids:
             oracle = [_allocation_oracle_log_prob(params, row) for row in z.tolist()]
-            gaps = np.abs(_allocation_log_probs(params, z) - oracle)
-            worst = max(worst, float(gaps.max()))
-        out.append(
-            _record(
-                "allocation_marginal_oracle",
-                worst <= constants.TOL_EXHAUSTIVE,
-                alpha=a,
-                d=dd,
-                max_abs_error=worst,
-                tolerance=constants.TOL_EXHAUSTIVE,
-            )
-        )
-    return out
+            yield float(np.abs(_allocation_log_probs(params, z) - oracle).max())
+
+    configs = [PYParams(a, dd) for a, dd in pairs]
+    return _worst_records("allocation_marginal_oracle", configs, gap, constants.TOL_EXHAUSTIVE)
 
 
 def check_allocation_truncated_normalization(alpha=None, d=None, **_):

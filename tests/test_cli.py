@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -245,11 +247,11 @@ EMITTED = {
 # sha256 of each case's stdout (x86-64 Linux, numpy 2.4)
 EMITTED_SHA256 = {
     "eppf-json": "70e8dc99a4af8abaedb42b67c1e1455e07fc75d7ff57bed2bda96f5b109aaad1",
-    "eppf-csv": "499d0f2cdfd4ccad181a6f49fd152ba1820f3eca1249c2f532f54d1d3f8aaa02",
+    "eppf-csv": "82c7428e0415a780a892a80697692ef5128063cabc140587c20b436a231c304f",
     "sample-json": "49843fc1d376632628e40236a3ea8fa978fdcffb1d92d598f01a58d63cdeebd2",
-    "sample-csv": "ff671f2502d26fa27eaade13bd71fd370caceb36099aa982a6a4d9133c2210eb",
+    "sample-csv": "c749d211906532e56696d4c60a97b7a5d134aae9e8d2923127648f8a9a991096",
     "tabulate-json": "d160df31e9164f354586e9cc2de562214be0eaba061eb5c6179a29f05ffd3359",
-    "tabulate-csv": "4bb89bab4c2776e1c87bc075a7a8c54fca48f3357927a03655d09d033eee8911",
+    "tabulate-csv": "cfec25d8a20d1fa3a9b668cb31a353cdf1da1cffc4dc8edc94be10bfbd5b7680",
     "growth-json": "5ff6417fbfd9ef3bded8d80d317393671340d95235f486ae5206456972c9e176",
     "growth-csv": "44698d79796a64b4cc26916249db6a4c2cd900b3bb061d740e266cb73ec34698",
     "verify-json": "7dfd871741fab62339c83716bb2c6c904a7f7efe7ea1ae41a517fc0baaaa1e73",
@@ -261,6 +263,32 @@ def test_stdout_is_pinned(capsys, case):
     code, out, _ = run_cli(capsys, *EMITTED[case])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EMITTED_SHA256[case]
+
+
+def _json_rows(doc):
+    """The records a command's JSON document holds, one dict per CSV row."""
+    if "records" in doc:
+        return doc["records"]
+    if "counts" in doc:
+        return [
+            {"partition": key, "count": count, "freq": doc["freq"][key]}
+            for key, count in doc["counts"].items()
+        ]
+    if "partitions" in doc:
+        return [{"partition": key} for key in doc["partitions"]]
+    return [doc]
+
+
+@pytest.mark.parametrize("case", [case for case, argv in EMITTED.items() if "--csv" in argv])
+def test_csv_reads_back_as_the_json_document(capsys, case):
+    # partition text holds commas: each field must still read back as one
+    argv = EMITTED[case]
+    _, out, _ = run_cli(capsys, *argv)
+    header, *rows = csv.reader(io.StringIO(out))
+    assert all(len(row) == len(header) for row in rows)
+    _, doc_text, _ = run_cli(capsys, *[arg for arg in argv if arg != "--csv"])
+    want = [[str(record[key]) for key in header] for record in _json_rows(json.loads(doc_text))]
+    assert rows == want
 
 
 class TestAtomicOutput:

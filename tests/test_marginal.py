@@ -17,6 +17,7 @@ from pitmanyor.marginal import (
     _allocation_log_probs,
     _lemma_b_truncated_sums,
     _permutation_orders,
+    _suffix_sums,
     allocation_log_prob,
     allocation_stats,
     beta_moment,
@@ -265,6 +266,15 @@ class TestUrnPermutationIdentity:
         assert orders.shape == (math.factorial(k), k)
         assert sorted(map(tuple, orders.tolist())) == sorted(permutations(range(k)))
 
+    @pytest.mark.parametrize("k", range(1, MAX_PERMUTATION_K + 1))
+    def test_suffix_sums_follow_permutations(self, k):
+        # rows in itertools.permutations order, with and without repeated sizes
+        for sizes in ([2, 1, 3, 1, 4, 1, 5, 2][:k], list(range(k, 0, -1))):
+            table = _suffix_sums(sizes)
+            assert table.dtype.kind == "i"
+            want = [[sum(perm[i:]) for i in range(k)] for perm in permutations(sizes)]
+            assert table.tolist() == want
+
     @pytest.mark.parametrize("d", [0.0, 0.3, 0.9])
     def test_random_vectors(self, d):
         rng = np.random.default_rng(17)
@@ -298,6 +308,10 @@ class TestLabelSumOracle:
         params = PYParams(1.0, 0.5)
         assert_allclose(lemma_b_truncated_sum(params, P([[1]]), 50)[1], 2.0, rtol=1e-14)
         assert_allclose(lemma_b_truncated_sum(params, P([[1, 2]]), 50)[1], 2 / 3, rtol=1e-14)
+
+    def test_empty_partition_is_the_empty_product(self):
+        # one empty block order and no gaps: both sides are the empty product
+        assert lemma_b_truncated_sum(PYParams(1.0, 0.5), Partition((), 0), 5) == (1.0, 1.0)
 
     @pytest.mark.parametrize(
         "params",
