@@ -2,9 +2,11 @@
 
 The process has two standard sampling routes:
 
-  * stick-breaking: break a unit stick with independent beta fractions,
-    assign each observation to a stick by an inverse-cdf draw, and group
-    observations that share a stick;
+  * stick-breaking: a unit stick broken by independent beta fractions, with
+    each observation on the stick it lands on, and observations that share a
+    stick grouped.  The engine realizes no stick: it integrates the fractions
+    out, so the observations not yet placed hit each stick in beta-binomial
+    numbers, and it jumps from one hit stick to the next;
   * restaurant-style: seat observations one at a time, joining an existing
     block with probability proportional to (size - d) and opening a new
     block with probability proportional to (alpha + #blocks * d).

@@ -3,10 +3,12 @@
 Subcommands: `eppf` (evaluate the partition law), `sample` (draw partitions),
 `verify` (run a verification suite), `growth` (block-count growth experiment).
 
-One JSON document (or CSV table with --csv) goes to standard output;
-human-readable progress goes to the error stream.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  All randomness is seeded and the seed
-defaults to a fixed constant, so identical invocations are byte-identical.
+One JSON document (or CSV table with --csv) goes to standard output; it is
+strict JSON, so a value with no number, such as the exponent of a one-point
+growth grid, prints as null, never NaN.  Human-readable progress goes to the
+error stream.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+All randomness is seeded and the seed defaults to a fixed constant, so
+identical invocations are byte-identical.
 """
 
 import argparse
@@ -168,7 +170,8 @@ def _cmd_growth(args) -> tuple:
         "trials": args.trials,
         "seed": args.seed,
         "records": rows,
-        "exponent": exponent,
+        # a one-point grid fits no slope: JSON has no NaN, so it prints null
+        "exponent": None if math.isnan(exponent) else exponent,
     }
     header = ("n", "mean_kn", "se", "trials")
     return doc, header, [tuple(row[key] for key in header) for row in rows]
@@ -200,7 +203,7 @@ def cli_main(argv=None) -> int:
             csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
             text = buffer.getvalue()
         else:
-            text = json.dumps(doc, indent=2) + "\n"
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
         _emit(text, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

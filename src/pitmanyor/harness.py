@@ -97,6 +97,15 @@ class EmpiricalPartitionDist:
         return int(self.tally[_table_index([_growth_string(partition)])[0]]) / self.trials
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _batch_jobs(params, n, trials, sampler, seed):
     """One job per batch of the plan, each with its own spawned stream.
 
@@ -137,14 +146,15 @@ def run_monte_carlo(
     batch, summed; n is capped so the tally stays comparable against
     exhaustive enumeration.  No `Partition` is built.
 
-    Batches run on a process pool (`workers` defaults to the CPU count) and
-    return their rows' growth-string ranks, the table indices the parent
-    counts.  Each batch depends only on its own spawned stream and merge
-    order is fixed, so the result is identical however batches are scheduled.
+    Batches run on a process pool (`workers` defaults to the CPUs the
+    process may run on) and return their rows' growth-string ranks, the
+    table indices the parent counts.  Each batch depends only on its own
+    spawned stream and merge order is fixed, so the result is identical
+    however batches are scheduled.
     """
     jobs = _batch_jobs(params, n, trials, sampler, seed)
     if workers is None:
-        workers = min(os.cpu_count() or 1, len(jobs))
+        workers = min(_usable_cpus(), len(jobs))
     if workers > 1 and len(jobs) > 1:
         # imported here: the pool module pulls in multiprocessing, which a
         # serial run never needs

@@ -164,24 +164,20 @@ def beta_moment(a: float, b: float, c: float, e: float) -> float:
 def _cumratios(alpha: float, d: float, total_cap: int):
     """The gap-sum recursion's cumulative ratio array for an offset a,
 
-        C_a(B) = prod_{t=1}^{B} num_t / (a + alpha + (t-1) d),
+        C_a(B) = prod_{t=1}^{B} (alpha + (t-1) d) / (a + alpha + (t-1) d),
 
-    with num_1 = |alpha| (the lone sign-carrying factor taken out) and
-    num_t = alpha + (t-1) d beyond, for B = 0..total_cap.  Returns a
-    function of a that builds each array once and keeps the last few:
-    one walk meets the same offset at many steps.
+    for B = 0..total_cap.  Only the first numerator, alpha, can be negative
+    or zero, so every C_a(B) past C_a(0) = 1 carries alpha's sign, and all
+    of them are 0 at alpha = 0.  Returns a function of a that builds each
+    array once and keeps the last few: one walk meets the same offset at
+    many steps.
     """
-    t = np.arange(total_cap + 1, dtype=float)
-    num = np.empty(total_cap + 1)
-    num[0] = 1.0
-    if total_cap >= 1:
-        num[1] = abs(alpha)
-    if total_cap >= 2:
-        num[2:] = alpha + (t[2:] - 1.0) * d
+    t = np.arange(1, total_cap + 1, dtype=float)
+    num = alpha + (t - 1.0) * d
 
     @lru_cache(maxsize=_CUMRATIO_CACHE)
     def cumratio(a: float) -> np.ndarray:
-        ratios = num[1:] / (a + alpha + (t[1:] - 1.0) * d)
+        ratios = num / (a + alpha + (t - 1.0) * d)
         return np.concatenate([[1.0], np.cumprod(ratios)])
 
     return cumratio
@@ -190,8 +186,11 @@ def _cumratios(alpha: float, d: float, total_cap: int):
 def _gap_step(state: np.ndarray, cumratio: np.ndarray, gap_cap: int | None) -> np.ndarray:
     """One gap of the recursion over the running gap total B: the new state
     at B is the sum over earlier totals B' < B (and B - B' <= gap_cap) of
-    state[B'] * C(B) / C(B'), taken as a prefix sum of state / C."""
-    scaled = np.divide(state, cumratio, out=np.zeros_like(state), where=cumratio > 0)
+    state[B'] * C(B) / C(B'), taken as a prefix sum of state / C.  Past
+    B = 0 every C has alpha's sign, so the first gap, from B' = 0, gives the
+    state alpha's sign and later gaps keep it; a C of 0 (alpha = 0, or an
+    underflow) contributes nothing."""
+    scaled = np.divide(state, cumratio, out=np.zeros_like(state), where=cumratio != 0)
     prefix = np.cumsum(scaled)
     out = np.zeros_like(state)
     out[1:] = cumratio[1:] * prefix[:-1]
@@ -213,9 +212,10 @@ def _gap_sums(
 
     The factor of a gap depends on its segment only through endpoint ratios of
     two cumulative products, so the recursion over the running total reduces
-    to prefix sums: O(k * total_cap) instead of O(k * total_cap^2).  The lone
-    sign-carrying factor alpha (position 1) is taken out as |alpha|; callers
-    reapply the sign.
+    to prefix sums: O(k * total_cap) instead of O(k * total_cap^2).  Every
+    term has the factor alpha once, at r = 0 of the first gap, and every
+    other factor is positive, so each sum carries alpha's sign and is 0 at
+    alpha = 0.
 
     The state after i gaps depends only on the first i offsets, so the
     vectors are walked depth first in sorted order, which puts every prefix
@@ -251,12 +251,8 @@ def _lemma_b_truncated_sums(
             raise ValueError(f"max_label must be at least the block count {k}")
         if k > MAX_PERMUTATION_K:
             raise ValueError(f"block count {k} exceeds the k! ceiling {MAX_PERMUTATION_K}")
-    if params.alpha == 0.0:
-        # every term carries the factor alpha; both sides vanish
-        return [(0.0, 0.0)] * len(profiles)
     orders = [Counter(map(tuple, _suffix_sums(sizes).tolist())) for sizes in profiles]
     sums = _gap_sums(params.alpha, params.d, [a for order in orders for a in order], max_label)
-    sign = 1.0 if params.alpha > 0.0 else -1.0
     out = []
     for sizes, order in zip(profiles, orders):
         closed = 1.0
@@ -267,7 +263,7 @@ def _lemma_b_truncated_sums(
         total = 0.0
         for a_vec, mult in order.items():
             total += mult * sums[a_vec]
-        out.append((sign * total, closed))
+        out.append((total, closed))
     return out
 
 
@@ -380,8 +376,9 @@ def lemma_d_check(
 
     Second value: (alpha/d)_(k) / prod_i (a_i/d - (k+1-i)).  Requires d > 0
     and a_i > d (k+1-i) so the closed-form denominators are positive and no
-    summand ratio reaches one.  For alpha > 0 the partial sum increases
-    monotonically to the closed form as the truncation grows.
+    summand ratio reaches one.  Both values carry alpha's sign and are 0 at
+    alpha = 0.  For alpha > 0 the partial sum increases monotonically to the
+    closed form as the truncation grows.
     """
     if params.d == 0.0:
         raise ValueError("nested gap sums require d > 0")
@@ -401,8 +398,5 @@ def lemma_d_check(
         rhs *= alpha / d + i
     for i, a_i in enumerate(a, start=1):
         rhs /= a_i / d - (k + 1 - i)
-    if alpha == 0.0:
-        return 0.0, 0.0
-    sign = 1.0 if alpha > 0.0 else -1.0
     lhs = _gap_sums(alpha, d, [tuple(a)], k * truncation, truncation)[tuple(a)]
-    return sign * lhs, rhs
+    return lhs, rhs

@@ -33,7 +33,6 @@ README for the full analysis.
 """
 
 import math
-import os
 from functools import partial
 from itertools import product
 
@@ -43,7 +42,7 @@ from . import constants
 from .core import PYParams
 from .crp import _table_sequential_log_probs
 from .eppf import _size_profiles, _table_log_probs, _table_probs, normalization_check
-from .harness import SAMPLERS, growth_experiment, run_monte_carlo, tv_distance
+from .harness import SAMPLERS, _usable_cpus, growth_experiment, run_monte_carlo, tv_distance
 from .marginal import (
     _allocation_log_probs,
     _lemma_b_truncated_sums,
@@ -58,7 +57,7 @@ __all__ = ["SUITES", "run_suite", "default_parameter_grid"]
 
 GRID_ALPHAS = (-0.3, 0.0, 0.5, 1.0, 5.0)
 GRID_DISCOUNTS = (0.0, 0.1, 0.5, 0.9)
-THEOREM_CONFIGS = ((1.0, 0.5), (0.3, 0.7), (5.0, 0.1), (1.0, 0.0))
+THEOREM_CONFIGS = (PYParams(1.0, 0.5), PYParams(0.3, 0.7), PYParams(5.0, 0.1), PYParams(1.0, 0.0))
 DP_LIMIT_ALPHAS = (0.5, 1.0, 5.0)
 
 # label-gap truncation at which the label-sum bridge demonstrably meets the
@@ -96,10 +95,12 @@ def default_parameter_grid() -> list[PYParams]:
     ]
 
 
-def _grid(alpha, d):
-    if alpha is None and d is None:
-        return default_parameter_grid()
-    return [PYParams(alpha, d)]
+def _configs(alpha, d, defaults):
+    """The configs a check runs: `PYParams(alpha, d)` when both are given,
+    else `defaults`."""
+    if (alpha is None) != (d is None):
+        raise ValueError("alpha and d must be given together")
+    return list(defaults) if alpha is None else [PYParams(alpha, d)]
 
 
 def _check_trials(trials: int) -> None:
@@ -144,9 +145,8 @@ def check_normalization(alpha=None, d=None, **_):
     def gap(params, max_n):
         return (abs(normalization_check(params, n) - 1.0) for n in range(1, max_n + 1))
 
-    return _worst_records(
-        "eppf_normalization", _grid(alpha, d), gap, constants.TOL_EXHAUSTIVE, max_n=8
-    )
+    configs = _configs(alpha, d, default_parameter_grid())
+    return _worst_records("eppf_normalization", configs, gap, constants.TOL_EXHAUSTIVE, max_n=8)
 
 
 def check_sequential_identity(alpha=None, d=None, **_):
@@ -155,8 +155,9 @@ def check_sequential_identity(alpha=None, d=None, **_):
             diff = _table_sequential_log_probs(params, n) - _table_log_probs(params, n)
             yield float(np.abs(diff).max())
 
+    configs = _configs(alpha, d, default_parameter_grid())
     return _worst_records(
-        "sequential_product_identity", _grid(alpha, d), gap, constants.TOL_EXHAUSTIVE, max_n=8
+        "sequential_product_identity", configs, gap, constants.TOL_EXHAUSTIVE, max_n=8
     )
 
 
@@ -188,11 +189,10 @@ _TV_SEED_OFFSETS = {"stick": 0, "crp": 100}
 
 def check_sampler_law_tv(sampler, alpha=None, d=None, trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED, **_):
     _check_trials(trials)
-    configs = THEOREM_CONFIGS if alpha is None else ((alpha, d),)
+    configs = _configs(alpha, d, THEOREM_CONFIGS)
     bound = _tv_bound(trials)
     out = []
-    for idx, (a, dd) in enumerate(configs):
-        params = PYParams(a, dd)
+    for idx, params in enumerate(configs):
         config_seed = seed + _TV_SEED_OFFSETS[sampler] + idx
         emp = run_monte_carlo(params, 4, trials, sampler, config_seed)
         tv = tv_distance(emp)
@@ -200,8 +200,8 @@ def check_sampler_law_tv(sampler, alpha=None, d=None, trials=constants.TV_TRIALS
             _record(
                 f"{sampler}_sampler_total_variation",
                 tv < bound,
-                alpha=a,
-                d=dd,
+                alpha=params.alpha,
+                d=params.d,
                 n=4,
                 trials=trials,
                 seed=config_seed,
@@ -251,11 +251,7 @@ def _allocation_oracle_log_prob(params: PYParams, z) -> float:
 
 
 def check_allocation_marginal_oracle(alpha=None, d=None, **_):
-    pairs = (
-        [(1.0, 0.5), (0.3, 0.7), (2.0, 0.9), (0.5, 0.2)]
-        if alpha is None
-        else [(alpha, d)]
-    )
+    defaults = (PYParams(1.0, 0.5), PYParams(0.3, 0.7), PYParams(2.0, 0.9), PYParams(0.5, 0.2))
     grids = [np.array(list(product(range(1, 5), repeat=n))) for n in (1, 2, 3)]
 
     def gap(params):
@@ -263,7 +259,7 @@ def check_allocation_marginal_oracle(alpha=None, d=None, **_):
             oracle = [_allocation_oracle_log_prob(params, row) for row in z.tolist()]
             yield float(np.abs(_allocation_log_probs(params, z) - oracle).max())
 
-    configs = [PYParams(a, dd) for a, dd in pairs]
+    configs = _configs(alpha, d, defaults)
     return _worst_records("allocation_marginal_oracle", configs, gap, constants.TOL_EXHAUSTIVE)
 
 
@@ -272,9 +268,7 @@ def check_allocation_truncated_normalization(alpha=None, d=None, **_):
     # a discount where 60 labels actually carry that much mass; at d = 0.5 the
     # label tail is so heavy that labels <= 60 hold only ~0.91 of the mass
     # (see README), so d = 0.1 is the default here.
-    a = 1.0 if alpha is None else alpha
-    dd = 0.1 if d is None else d
-    params = PYParams(a, dd)
+    (params,) = _configs(alpha, d, (PYParams(1.0, 0.1),))
     levels = (10, 20, 30, 40, 50, 60)
     # each pair is evaluated once, at the top level; fsum rounds exactly, so
     # summing a level's nested square from the shared table changes no bit
@@ -288,8 +282,8 @@ def check_allocation_truncated_normalization(alpha=None, d=None, **_):
         _record(
             "allocation_truncated_normalization",
             monotone and partial_sums[-1] >= 0.99,
-            alpha=a,
-            d=dd,
+            alpha=params.alpha,
+            d=params.d,
             n=2,
             levels=list(levels),
             partial_sums=partial_sums,
@@ -342,13 +336,13 @@ def check_lemma_b_bridge(alpha=None, d=None, **_):
 
     A rebuilt value depends only on the block sizes, so it is evaluated once
     per size profile of `_size_profiles(n)`, for every n at once, and
-    gathered back into table order; the sum, deficit and below-the-law
-    updates still run over the partitions in table order.
+    gathered back into table order.  Each n's rebuilt values are then
+    compared with the law as one array: the sum adds them one at a time in
+    table order, and the deficit and the below-the-law test take the worst
+    partition.
     """
-    a = 1.0 if alpha is None else alpha
-    dd = 0.5 if d is None else d
-    params = PYParams(a, dd)
-    if a == 0.0:
+    (params,) = _configs(alpha, d, (PYParams(1.0, 0.5),))
+    if params.alpha == 0.0:
         raise ValueError(
             "the label-sum bridge is 0/0 at alpha = 0: the truncated label sum "
             "and 1/(alpha)_(n) both carry the factor alpha, so it checks nothing there"
@@ -365,20 +359,19 @@ def check_lemma_b_bridge(alpha=None, d=None, **_):
         below = True
         rebuilt_of = dict(zip(profiles, _bridge_reconstructions(params, profiles, max_label)))
         for n, (n_profiles, index) in by_n.items():
-            by_profile = np.array([rebuilt_of[sizes] for sizes in n_profiles])
-            rebuilt = 0.0
-            for got, want in zip(by_profile[index].tolist(), _table_probs(params, n).tolist()):
-                rebuilt += got
-                deficit = max(deficit, want - got)
-                below &= got <= want + constants.TOL_ROUNDING
+            got = np.array([rebuilt_of[sizes] for sizes in n_profiles])[index]
+            want = _table_probs(params, n)
+            rebuilt = float(np.add.accumulate(got)[-1])
+            deficit = max(deficit, float((want - got).max()))
+            below &= bool((got <= want + constants.TOL_ROUNDING).all())
             kept = truncated_label_mass(params, n, max_label)
             mass_error = max(mass_error, abs(rebuilt - kept))
         out.append(
             _record(
                 label,
                 below and mass_error <= tol and (deficit <= tol or not against_law),
-                alpha=a,
-                d=dd,
+                alpha=params.alpha,
+                d=params.d,
                 max_label=max_label,
                 mass_error=mass_error,
                 max_deficit=deficit,
@@ -499,7 +492,7 @@ def check_beta_moment_mc(trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED
         np.random.default_rng(np.random.SeedSequence([seed, 11, idx]))
         for idx in range(len(BETA_MOMENT_CONFIGS))
     ]
-    workers = min(os.cpu_count() or 1, len(BETA_MOMENT_CONFIGS))
+    workers = min(_usable_cpus(), len(BETA_MOMENT_CONFIGS))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # `map` evaluates its arguments here, so each array is allocated by
         # the calling thread: glibc gives every pool thread its own heap and

@@ -202,6 +202,17 @@ class TestGrowthCommand:
         assert lines[0] == "n,mean_kn,se,trials"
         assert len(lines) == 3
 
+    def test_one_point_grid_prints_null_exponent(self, capsys):
+        # one point fits no slope; the document must still be strict JSON
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        code, out, _ = run_cli(
+            capsys, "growth", "--alpha", "1", "--d", "0.5", "--ngrid", "100", "--trials", "5"
+        )
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["exponent"] is None
+
     def test_bad_grid_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "growth", "--alpha", "1", "--d", "0.5", "--ngrid", "10,abc"

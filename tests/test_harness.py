@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -57,6 +59,17 @@ class TestRunMonteCarlo:
         a = run_monte_carlo(PYParams(1.0, 0.5), 3, 70_000, "crp", 4, workers=1)
         b = run_monte_carlo(PYParams(1.0, 0.5), 3, 70_000, "crp", 4, workers=2)
         assert a.counts == b.counts
+
+    def test_pool_size_follows_cpu_affinity(self, monkeypatch):
+        # a process pinned to one CPU runs its three batches serially
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started on one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        got = run_monte_carlo(PYParams(1.0, 0.5), 4, 70_000, "stick", 1)
+        want = run_monte_carlo(PYParams(1.0, 0.5), 4, 70_000, "stick", 1, workers=1)
+        assert np.array_equal(got.tally, want.tally)
 
     def test_stick_pair_frequency(self):
         emp = run_monte_carlo(PYParams(1.0, 0.5), 2, 200_000, "stick", 7)

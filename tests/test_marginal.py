@@ -488,7 +488,12 @@ class TestGridEvaluators:
             tuple(map(float.hex, v)) for v in want
         ]
 
-    @pytest.mark.parametrize("alpha, d, offsets", LEMMA_D_GRID, ids=str)
+    # the verify grid, plus alpha <= 0, where the walk's sums carry alpha's sign
+    @pytest.mark.parametrize(
+        "alpha, d, offsets",
+        LEMMA_D_GRID + ((-0.3, 0.5, (2.0,)), (-0.05, 0.1, (4.0, 2.0)), (0.0, 0.5, (4.0, 2.0))),
+        ids=str,
+    )
     def test_lemma_d_every_truncation(self, alpha, d, offsets):
         params = PYParams(alpha, d)
         k = len(offsets)

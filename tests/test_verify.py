@@ -1,7 +1,7 @@
 import hashlib
 import json
-import os
 import threading
+from functools import partial
 
 import pytest
 import reference
@@ -151,6 +151,25 @@ class TestSuites:
         assert a == b
 
 
+# every check that reads both alpha and d
+OVERRIDE_CHECKS = {
+    "normalization": verify.check_normalization,
+    "sequential_identity": verify.check_sequential_identity,
+    "stick_tv": partial(verify.check_sampler_law_tv, "stick"),
+    "crp_tv": partial(verify.check_sampler_law_tv, "crp"),
+    "lemma_b_bridge": verify.check_lemma_b_bridge,
+    "allocation_marginal_oracle": verify.check_allocation_marginal_oracle,
+    "allocation_truncated_normalization": verify.check_allocation_truncated_normalization,
+}
+
+
+@pytest.mark.parametrize("override", [{"alpha": 1.0}, {"d": 0.5}], ids=str)
+@pytest.mark.parametrize("check", OVERRIDE_CHECKS.values(), ids=OVERRIDE_CHECKS.keys())
+def test_one_sided_override_is_rejected(check, override):
+    with pytest.raises(ValueError, match="alpha and d must be given together"):
+        check(**override, trials=20)
+
+
 class TestBetaMomentMonteCarlo:
     CHUNK = verify._CHUNK
 
@@ -159,7 +178,7 @@ class TestBetaMomentMonteCarlo:
     @pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED])
     @pytest.mark.parametrize("trials", [2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
     def test_threaded_records_equal_the_serial_check(self, monkeypatch, trials, seed, cpus):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
         threads = threading.active_count()
         got = verify.check_beta_moment_mc(trials=trials, seed=seed)
         assert threading.active_count() == threads
