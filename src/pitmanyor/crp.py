@@ -13,10 +13,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    LogProb, Partition, PYParams, _growth_string, _growth_strings, _per_n_table,
-    partition_from_allocations,
-)
+from .core import LogProb, Partition, PYParams, _growth_strings, _per_n_table
 
 __all__ = [
     "crp_sample_partition",
@@ -37,7 +34,7 @@ def crp_sample_partition(params: PYParams, n: int, rng: np.random.Generator) -> 
     sampler's set-up, so draw many partitions with sample_label_matrix or
     harness.run_monte_carlo.
     """
-    return partition_from_allocations((sample_label_matrix(params, n, 1, rng)[0] + 1).tolist())
+    return Partition(tuple(sample_label_matrix(params, n, 1, rng)[0].tolist()))
 
 
 def _seating_codes(z: np.ndarray) -> np.ndarray:
@@ -95,7 +92,7 @@ def sequential_log_prob(params: PYParams, partition: Partition) -> LogProb:
     tables, on the partition's own growth string, so the scalar and table
     values agree bit for bit at any n.
     """
-    z = np.array([_growth_string(partition)], dtype=np.intp)
+    z = np.array([partition.z], dtype=np.intp)
     return float(_sequential_log_probs(params, _seating_codes(z))[0])
 
 

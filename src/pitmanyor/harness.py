@@ -20,7 +20,6 @@ from .core import (
     Partition,
     PYParams,
     _checked_n,
-    _growth_string,
     _growth_strings,
     _partition_table,
     _table_index,
@@ -94,7 +93,7 @@ class EmpiricalPartitionDist:
     def freq(self, partition: Partition) -> float:
         if partition.n != self.n:
             return 0.0
-        return int(self.tally[_table_index([_growth_string(partition)])[0]]) / self.trials
+        return int(self.tally[_table_index([partition.z])[0]]) / self.trials
 
 
 def _usable_cpus() -> int:

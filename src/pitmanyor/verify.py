@@ -32,6 +32,7 @@ companion fails, because 1e5 labels are still far from enough.  See the
 README for the full analysis.
 """
 
+import inspect
 import math
 from functools import partial
 from itertools import product
@@ -591,7 +592,9 @@ def run_suite(
     trials: int = constants.TV_TRIALS,
     seed: int = constants.DEFAULT_SEED,
 ) -> dict:
-    """Run one named suite (or 'all') and return its report."""
+    """Run one named suite (or 'all') and return its report.  An (alpha, d)
+    override goes to every check that takes one; a suite with no such check
+    rejects it."""
     if suite == "all":
         checks = tuple(c for group in SUITES.values() for c in group) + _EXTRA_ALL
     elif suite in SUITES:
@@ -600,6 +603,9 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     if (alpha is None) != (d is None):
         raise ValueError("alpha and d must be given together")
+    # a suite whose checks all run fixed configs would echo an override it ignored
+    if alpha is not None and not any("alpha" in inspect.signature(c).parameters for c in checks):
+        raise ValueError(f"suite {suite!r} runs fixed configs and takes no alpha or d")
     _check_trials(trials)
     records = []
     for check in checks:

@@ -173,7 +173,7 @@ def enumerate_partitions(n: int):
 
     def grow(i: int):
         if i > n:
-            yield Partition(tuple(tuple(b) for b in blocks), n)
+            yield Partition.from_blocks(blocks)
             return
         for j in range(len(blocks)):
             blocks[j].append(i)

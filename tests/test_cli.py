@@ -168,6 +168,15 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--suite", "normalization", "--alpha", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("suite", ["lemmaC", "lemmaD", "lemmaE"])
+    def test_override_on_fixed_config_suite_is_usage_error(self, capsys, suite):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--alpha", "1", "--d", "0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "runs fixed configs" in err
+
     @pytest.mark.parametrize("suite", ["equivalence", "lemmaE"])
     @pytest.mark.parametrize("trials", ["0", "1"])
     def test_too_few_trials_is_usage_error(self, capsys, suite, trials):

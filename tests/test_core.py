@@ -88,6 +88,30 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition.from_blocks(blocks)
 
+    @pytest.mark.parametrize(
+        "z", [(1,), (0, 2), (0, -1), (0, 1.0), (0, np.int64(1)), [0, 1]], ids=repr
+    )
+    def test_rejects_non_growth_strings(self, z):
+        with pytest.raises(ValueError):
+            Partition(z)
+
+    @given(st.integers(min_value=0, max_value=9).flatmap(
+        lambda n: st.tuples(*[st.integers(min_value=0, max_value=i) for i in range(n)])
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_growth_string_round_trips(self, draw):
+        # clamp each entry to one past the earlier maximum: a growth string
+        z, top = [], -1
+        for b in draw:
+            z.append(min(b, top + 1))
+            top = max(top, z[-1])
+        z = tuple(z)
+        p = Partition(z)
+        assert p.z == z
+        assert Partition.from_blocks(p.blocks) == p
+        if z:
+            assert partition_from_allocations([b + 1 for b in p.z]) == p
+
     def test_usable_as_dict_key(self):
         a = Partition.from_blocks([[2], [1, 3]])
         b = Partition.from_blocks([[1, 3], [2]])

@@ -311,7 +311,7 @@ class TestLabelSumOracle:
 
     def test_empty_partition_is_the_empty_product(self):
         # one empty block order and no gaps: both sides are the empty product
-        assert lemma_b_truncated_sum(PYParams(1.0, 0.5), Partition((), 0), 5) == (1.0, 1.0)
+        assert lemma_b_truncated_sum(PYParams(1.0, 0.5), Partition(()), 5) == (1.0, 1.0)
 
     @pytest.mark.parametrize(
         "params",

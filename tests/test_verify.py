@@ -141,6 +141,13 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("normalization", alpha=1.0)
 
+    @pytest.mark.parametrize("suite", ["lemmaC", "lemmaD", "lemmaE"])
+    def test_override_on_fixed_config_suite_is_rejected(self, suite):
+        # these suites run fixed configs, so a report echoing the override
+        # would name a config none of its records ran at
+        with pytest.raises(ValueError, match="runs fixed configs"):
+            run_suite(suite, alpha=1.0, d=0.5)
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("nope")
