@@ -8,7 +8,8 @@ The equality of the two constructions rests on a handful of identities:
   * a label-sum identity tying the allocation marginal to the partition law.
 
 Each has an independent numerical oracle here: brute enumeration, truncated
-sums with monotone convergence, or exact permutation scans.  The last one
+sums with monotone convergence, or sums over block orders taken by a
+recursion over sub-multisets of block sizes.  The label-sum bridge
 converges slowly on purpose -- the omitted labels carry Theta(1/max_label)
 probability because the label distribution is itself a power law.
 """

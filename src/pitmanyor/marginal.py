@@ -14,18 +14,17 @@ The two oracles that `verify` replays over whole grids have array
 evaluators, and the public functions are their one-row and one-profile
 calls: `_allocation_log_probs` scores every row of a label matrix, and
 `_lemma_b_truncated_sums` evaluates the truncated label sum at many size
-profiles from one walk over the shared prefixes of their gap recursions.
-Both add their terms in the order of the scalar loops they replaced, so a
-value does not depend on which entry point computed it.  Lemma D's nested
-sums are the same walk with each gap capped.  Lemmas B and C read the k!
-block orders from one table of their suffix sums, `_suffix_sums`.
+profiles at once.  Neither value depends on which entry point computed it.
+Lemmas B and C sum over the k! orders in which blocks take their sticks by
+one recursion over the sub-multisets of block sizes still to be placed,
+`_order_sums`, so they take any block count within its state budget.
+Lemma D's nested sums are a loop of capped gap steps.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -42,15 +41,11 @@ __all__ = [
     "lemma_c_check",
     "lemma_d_check",
     "truncated_label_mass",
-    "MAX_PERMUTATION_K",
 ]
 
-# k! enumeration ceiling shared by the permutation-sum oracles.
-MAX_PERMUTATION_K = 8
-
-# Cumulative-ratio arrays one gap-sum walk keeps, one per recent offset: the
-# bridge's profiles of n <= 4 use four, and at max_label 1e5 each holds 0.8 MB.
-_CUMRATIO_CACHE = 16
+# Elements the states of one `_order_sums` call may hold: 128 MB of float64.
+# The verify bridge's profiles of n <= 4 hold 1.2e6 at max_label 1e5.
+_ORDER_SUM_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,13 @@ def _cumratios(alpha: float, d: float, total_cap: int):
     for B = 0..total_cap.  Only the first numerator, alpha, can be negative
     or zero, so every C_a(B) past C_a(0) = 1 carries alpha's sign, and all
     of them are 0 at alpha = 0.  Returns a function of a that builds each
-    array once and keeps the last few: one walk meets the same offset at
-    many steps.
+    array once and keeps the last one: every caller meets each offset in
+    one stretch of steps.
     """
     t = np.arange(1, total_cap + 1, dtype=float)
     num = alpha + (t - 1.0) * d
 
-    @lru_cache(maxsize=_CUMRATIO_CACHE)
+    @lru_cache(maxsize=1)
     def cumratio(a: float) -> np.ndarray:
         ratios = num / (a + alpha + (t - 1.0) * d)
         return np.concatenate([[1.0], np.cumprod(ratios)])
@@ -183,87 +178,95 @@ def _cumratios(alpha: float, d: float, total_cap: int):
     return cumratio
 
 
-def _gap_step(state: np.ndarray, cumratio: np.ndarray, gap_cap: int | None) -> np.ndarray:
-    """One gap of the recursion over the running gap total B: the new state
-    at B is the sum over earlier totals B' < B (and B - B' <= gap_cap) of
-    state[B'] * C(B) / C(B'), taken as a prefix sum of state / C.  Past
-    B = 0 every C has alpha's sign, so the first gap, from B' = 0, gives the
-    state alpha's sign and later gaps keep it; a C of 0 (alpha = 0, or an
-    underflow) contributes nothing."""
+def _gap_step(state: np.ndarray, cumratio: np.ndarray, gap_cap: int) -> np.ndarray:
+    """One capped gap of lemma D's recursion over the running gap total B:
+    the new state at B is the sum over earlier totals B' < B with
+    B - B' <= gap_cap of state[B'] * C(B) / C(B'), taken as a prefix sum of
+    state / C.  Past B = 0 every C has alpha's sign, so the first gap, from
+    B' = 0, gives the state alpha's sign and later gaps keep it; a C of 0
+    (alpha = 0, or an underflow) contributes nothing."""
     scaled = np.divide(state, cumratio, out=np.zeros_like(state), where=cumratio != 0)
     prefix = np.cumsum(scaled)
     out = np.zeros_like(state)
     out[1:] = cumratio[1:] * prefix[:-1]
-    if gap_cap is not None and len(state) >= gap_cap + 2:
+    if len(state) >= gap_cap + 2:
         out[gap_cap + 1:] -= cumratio[gap_cap + 1:] * prefix[: -gap_cap - 1]
     return out
 
 
-def _gap_sums(
-    alpha: float, d: float, a_vecs, total_cap: int, gap_cap: int | None = None
-) -> dict:
-    """For each offset vector (a_1..a_k) of a_vecs, keyed by it, the sum over
-    gap vectors (b_1..b_k), each b_i >= 1, of
-
-        prod_i prod_{r=0}^{b_i-1} (alpha + (B_{i-1}+r) d) / (a_i + alpha + (B_{i-1}+r) d)
-
-    where B_i is the running gap total, restricted to B_k <= total_cap and,
-    when gap_cap is given, to b_i <= gap_cap individually.
-
-    The factor of a gap depends on its segment only through endpoint ratios of
-    two cumulative products, so the recursion over the running total reduces
-    to prefix sums: O(k * total_cap) instead of O(k * total_cap^2).  Every
-    term has the factor alpha once, at r = 0 of the first gap, and every
-    other factor is positive, so each sum carries alpha's sign and is 0 at
-    alpha = 0.
-
-    The state after i gaps depends only on the first i offsets, so the
-    vectors are walked depth first in sorted order, which puts every prefix
-    before its extensions, and only the states on the current path are kept.
-    Each vector's value is what its own walk from the start would give.
-    """
-    cumratio = _cumratios(alpha, d, total_cap)
-    start = np.zeros(total_cap + 1)
-    start[0] = 1.0
-    path: list[float] = []
-    states = [start]
-    out = {}
-    for a_vec in sorted(set(a_vecs)):
-        shared = 0
-        while shared < min(len(path), len(a_vec)) and path[shared] == a_vec[shared]:
-            shared += 1
-        del path[shared:], states[shared + 1:]
-        for a in a_vec[shared:]:
-            states.append(_gap_step(states[-1], cumratio(a), gap_cap))
-            path.append(a)
-        out[a_vec] = float(states[-1].sum())
+def _gap_step_transposed(v: np.ndarray, cumratio: np.ndarray) -> np.ndarray:
+    """The transpose of the uncapped gap step: u[B'] is the sum over later
+    totals B > B' of C(B) v[B] / C(B'), taken as a suffix sum of C v, and 0
+    where C(B') = 0, the entries the forward step drops.  Only u[0] takes a
+    C(B) without its C(B'), so u[0] carries alpha's sign and the rest,
+    ratios of two Cs, are positive."""
+    tail = np.cumsum((cumratio * v)[::-1])[::-1]
+    out = np.zeros_like(v)
+    np.divide(tail[1:], cumratio[:-1], out=out[:-1], where=cumratio[:-1] != 0)
     return out
+
+
+def _order_sums(profiles: Sequence[Sequence[int]], empty, step) -> list:
+    """V(profile) for each profile of block sizes: a sum over the k! orders
+    in which its blocks take their sticks, by a recursion over the
+    sub-multisets R of sizes still to be placed,
+
+        V(()) = empty,   V(R) = step(sum_s m_s(R) V(R - {s}), |R|, len(R)),
+
+    with m_s(R) the number of blocks of size s in R, summed in increasing s.
+    A term depends on its order only through that chain of sub-multisets,
+    so the k! orders collapse to prod_s (m_s + 1) states.  They are built
+    bottom-up by element count, once for all the profiles, so the steps at
+    one |R| run in one stretch.  Raises ValueError before any step when the
+    states held so far plus the next profile's, each of np.size(empty)
+    elements, exceed `_ORDER_SUM_BUDGET`.
+    """
+    width = np.size(empty)
+    held = set()
+    for sizes in profiles:
+        counts = sorted(Counter(sizes).items())
+        need = (len(held) + math.prod(m + 1 for _, m in counts)) * width
+        if need > _ORDER_SUM_BUDGET:
+            raise ValueError(f"{need} elements of state exceed the budget of {_ORDER_SUM_BUDGET}")
+        subs = [()]
+        for s, m in counts:  # sizes appended in increasing order keep each tuple sorted
+            subs = [sub + (s,) * r for sub in subs for r in range(m + 1)]
+        held.update(subs)
+    states = {(): empty}
+    for sub in sorted(held, key=lambda r: (sum(r), r))[1:]:  # () sorts first
+        below = 0
+        for s in dict.fromkeys(sub):
+            i = sub.index(s)
+            below += sub.count(s) * states[sub[:i] + sub[i + 1:]]
+        states[sub] = step(below, sum(sub), len(sub))
+    return [states[tuple(sorted(sizes))] for sizes in profiles]
 
 
 def _lemma_b_truncated_sums(
     params: PYParams, profiles: Sequence[tuple[int, ...]], max_label: int
 ) -> list[tuple[float, float]]:
     """`lemma_b_truncated_sum` at a partition of each sorted block-size
-    profile, in the given order, with one gap-sum walk for all of them."""
+    profile, in the given order.  With G_a the gap step at offset a, an order
+    whose remaining sub-multisets are R_1, ..., R_k adds 1^T G_{|R_k|} ...
+    G_{|R_1|} e_0: from the all-ones end, one transposed step per
+    sub-multiset, so `_order_sums` from all ones, read at gap total 0."""
     for sizes in profiles:
-        k = len(sizes)
-        if max_label < k:
-            raise ValueError(f"max_label must be at least the block count {k}")
-        if k > MAX_PERMUTATION_K:
-            raise ValueError(f"block count {k} exceeds the k! ceiling {MAX_PERMUTATION_K}")
-    orders = [Counter(map(tuple, _suffix_sums(sizes).tolist())) for sizes in profiles]
-    sums = _gap_sums(params.alpha, params.d, [a for order in orders for a in order], max_label)
+        if max_label < len(sizes):
+            raise ValueError(f"max_label must be at least the block count {len(sizes)}")
+    cumratio = _cumratios(params.alpha, params.d, max_label)
+    sums = _order_sums(
+        profiles,
+        np.ones(max_label + 1),
+        lambda v, total, _: _gap_step_transposed(v, cumratio(total)),
+    )
     out = []
-    for sizes, order in zip(profiles, orders):
+    for sizes, v in zip(profiles, sums):
         closed = 1.0
         for i in range(len(sizes)):
             closed *= params.alpha + i * params.d
         for s in sizes:
             closed /= s - params.d
-        total = 0.0
-        for a_vec, mult in order.items():
-            total += mult * sums[a_vec]
-        out.append((total, closed))
+        out.append((float(v[0]), closed))
     return out
 
 
@@ -280,16 +283,16 @@ def lemma_b_truncated_sum(
     stays defined at d = 0.
 
     Such z correspond one-to-one to (block ordering, label gaps) pairs, and
-    the sum is taken over that parameterization: k! orderings with a shared
-    prefix-sum recursion over gap totals, exponentially smaller than scanning
-    label vectors directly.  The partial sum is returned without any tail
+    the sum is taken over that parameterization: a prefix-sum recursion over
+    gap totals, summed over the orders by `_order_sums` in one step per
+    sub-multiset of block sizes, not one walk per ordering -- exponentially
+    smaller than scanning label vectors directly.  The partial sum is returned without any tail
     correction; for alpha > 0 it increases monotonically to the closed form
     as max_label grows, with a tail that decays like max_label^(-(1-d)/d):
     like 1/max_label at d = 1/2, and geometrically at d = 0.
 
-    The block sizes are walked in sorted order, which fixes the order of
-    every sum: partitions with the same size profile give bit-identical
-    values.  A one-profile call of the batch that `verify` runs over every
+    The value depends only on the block sizes, so partitions with the same
+    size profile give bit-identical values.  A one-profile call of the batch that `verify` runs over every
     size profile at once.
     """
     sizes = tuple(sorted(partition.block_sizes()))
@@ -325,43 +328,26 @@ def truncated_label_mass(params: PYParams, n: int, max_label: int) -> float:
     return math.fsum([1.0, *terms])
 
 
-@lru_cache(maxsize=MAX_PERMUTATION_K)
-def _permutation_orders(k: int) -> np.ndarray:
-    """Every ordering of range(k), one per row (k = 0 gives one empty row);
-    read-only, since each call for the same k shares the array."""
-    orders = np.array(list(permutations(range(k))), dtype=np.intp)
-    orders.flags.writeable = False
-    return orders
-
-
-def _suffix_sums(sizes: Sequence[int]) -> np.ndarray:
-    """The block-order table: row r holds the suffix sums of `sizes` taken
-    in the r-th order of `_permutation_orders`, itertools.permutations'
-    order, so a Counter over the rows meets each vector in that order."""
-    picked = np.asarray(sizes)[_permutation_orders(len(sizes))]
-    return np.cumsum(picked[:, ::-1], axis=1)[:, ::-1]
-
-
 def lemma_c_check(sizes: Sequence[int], d: float) -> tuple[float, float]:
     """Permutation-sum identity of sampling blocks without replacement.
 
     First value: sum over all orderings sigma of prod_{i=1}^{k}
     1 / (a_i(sigma) - (k-i+1) d) with a_i(sigma) the suffix sum of sizes in
-    order sigma.  Second value: 1 / prod_i (n_i - d).  The two are equal
-    exactly; the suites assert relative error <= 1e-12.
+    order sigma, taken by `_order_sums` on scalars: the factor of a step is
+    1 / (|R| - len(R) d) for the multiset R of sizes still to be placed.
+    Second value: 1 / prod_i (n_i - d).  The two are equal exactly; the
+    suites assert relative error <= 1e-12.
     """
-    k = len(sizes)
-    if not 1 <= k <= MAX_PERMUTATION_K:
-        raise ValueError(f"need 1 <= k <= {MAX_PERMUTATION_K}, got {k}")
+    if len(sizes) < 1:
+        raise ValueError("need at least one block size")
     if not 0.0 <= d < 1.0:
         raise ValueError(f"discount must lie in [0, 1), got {d}")
     for s in sizes:
         if not isinstance(s, (int, np.integer)) or s < 1:
             raise ValueError(f"sizes must be integers >= 1, got {s!r}")
-    denom = _suffix_sums(sizes) - d * np.arange(k, 0, -1, dtype=float)
-    lhs = float((1.0 / denom).prod(axis=1).sum())
+    (lhs,) = _order_sums([sizes], 1.0, lambda x, total, count: x / (total - count * d))
     rhs = float(1.0 / np.prod(np.asarray(sizes, dtype=float) - d))
-    return lhs, rhs
+    return float(lhs), rhs
 
 
 def lemma_d_check(
@@ -398,5 +384,9 @@ def lemma_d_check(
         rhs *= alpha / d + i
     for i, a_i in enumerate(a, start=1):
         rhs /= a_i / d - (k + 1 - i)
-    lhs = _gap_sums(alpha, d, [tuple(a)], k * truncation, truncation)[tuple(a)]
-    return lhs, rhs
+    cumratio = _cumratios(alpha, d, k * truncation)
+    state = np.zeros(k * truncation + 1)
+    state[0] = 1.0
+    for a_i in a:
+        state = _gap_step(state, cumratio(a_i), truncation)
+    return float(state.sum()), rhs

@@ -10,7 +10,8 @@ vector at a time: the law and the sequential product over each n's partition
 table, Prop A's marginal over each label grid with one
 `marginal._allocation_log_probs` call, and the bridge's truncated label sums
 over every size profile of n <= 4 with one `marginal._lemma_b_truncated_sums`
-walk per truncation.  Each value is bit-identical to its scalar entry point.
+call per truncation, one step per sub-multiset of block sizes shared by all
+the profiles.  Each value is bit-identical to its scalar entry point.
 
 The beta-moment Monte Carlo check draws its four configs' seeded streams
 concurrently on a thread pool (`Generator.beta` runs with the GIL
@@ -307,7 +308,7 @@ def _bridge_reconstructions(params: PYParams, profiles, max_label: int) -> list[
     one factor alpha, so the magnitudes are combined in log space and the
     sign of alpha is applied to the prefactor.  The value depends only on
     the profile, and the truncated sums of all the profiles come from one
-    `marginal._lemma_b_truncated_sums` walk.
+    `marginal._lemma_b_truncated_sums` call.
     """
     out = []
     for sizes, (truncated, _) in zip(

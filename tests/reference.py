@@ -17,9 +17,13 @@ package's one cached law evaluator, whose d = 0 branch is the Dirichlet
 law, to them bit for bit.
 
 `allocation_log_prob` and `lemma_b_truncated_sum` are the per-vector and
-per-ordering loops that the package's grid evaluators replaced; the tests
-pin the evaluators to them bit for bit.  `_gap_sum` with a per-gap cap is
-lemma D's nested sum, walked on its own rather than as a prefix walk.
+per-ordering loops that the package's grid evaluators replaced.  The tests
+pin the allocation evaluator to its loop bit for bit.  The label sums,
+which the package takes over sub-multisets of block sizes in another order,
+are held to the float per-ordering loop at 1e5 labels and at 60 labels to
+`lemma_b_exact_sum`, the same per-ordering sum in exact rationals.
+`_gap_sum` with a per-gap cap is lemma D's nested sum, walked on its own
+rather than as a prefix walk.
 
 `cumsum_label_matrix` and `hit_sizes` are the batch kernels written with
 accumulates along axis 0 (`np.cumsum`, `np.cumprod`, a sum over axis 0),
@@ -35,7 +39,8 @@ threaded check's records to it byte for byte.
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import permutations
+from fractions import Fraction
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -268,6 +273,28 @@ def lemma_b_truncated_sum(params: PYParams, sizes, max_label: int) -> tuple[floa
     for a_vec, mult in orders.items():
         total += mult * _gap_sum(params.alpha, params.d, a_vec, max_label)
     return math.copysign(total, params.alpha), closed
+
+
+def lemma_b_exact_sum(params: PYParams, sizes, max_label: int) -> Fraction:
+    """`lemma_b_truncated_sum`'s label sum in exact rationals at the binary
+    values of alpha and d, one forward gap recursion per distinct
+    suffix-sum order.  With r_a(t) = (alpha + (t-1) d) / (a + alpha + (t-1) d),
+    a gap at offset a takes the state at totals B' < B to
+    out[B] = r_a(B) (out[B-1] + state[B-1]), which needs no division by
+    a cumulative product and so holds at alpha = 0 too."""
+    alpha, d = Fraction(params.alpha), Fraction(params.d)
+    orders = Counter(tuple(accumulate(reversed(perm)))[::-1] for perm in permutations(sizes))
+    total = Fraction(0)
+    for a_vec, mult in orders.items():
+        state = [Fraction(1)] + [Fraction(0)] * max_label
+        for a in a_vec:
+            out = [Fraction(0)]
+            for t in range(1, max_label + 1):
+                level = alpha + (t - 1) * d
+                out.append(level / (a + level) * (out[-1] + state[t - 1]))
+            state = out
+        total += mult * sum(state)
+    return total
 
 
 def cumsum_label_matrix(

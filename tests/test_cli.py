@@ -274,7 +274,7 @@ EMITTED_SHA256 = {
     "tabulate-csv": "cfec25d8a20d1fa3a9b668cb31a353cdf1da1cffc4dc8edc94be10bfbd5b7680",
     "growth-json": "5ff6417fbfd9ef3bded8d80d317393671340d95235f486ae5206456972c9e176",
     "growth-csv": "44698d79796a64b4cc26916249db6a4c2cd900b3bb061d740e266cb73ec34698",
-    "verify-json": "7dfd871741fab62339c83716bb2c6c904a7f7efe7ea1ae41a517fc0baaaa1e73",
+    "verify-json": "759bf1b2a8919fba438e543c7d3cb96a943201e005f3030d834d25c9e66b554e",
 }
 
 

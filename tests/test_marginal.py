@@ -1,5 +1,6 @@
 import math
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,15 +10,15 @@ from numpy.testing import assert_allclose
 from scipy.special import betaln
 
 import reference
+from pitmanyor import marginal
+from pitmanyor.constants import TOL_LEMMA_C, TOL_ROUNDING, TOL_TRUNCATED
 from pitmanyor.core import Partition, PYParams, enumerate_partitions, partition_from_allocations
-from pitmanyor.eppf import _size_profiles
+from pitmanyor.eppf import _size_profiles, _table_probs
 from pitmanyor.marginal import (
-    MAX_PERMUTATION_K,
     AllocationStats,
     _allocation_log_probs,
     _lemma_b_truncated_sums,
-    _permutation_orders,
-    _suffix_sums,
+    _order_sums,
     allocation_log_prob,
     allocation_stats,
     beta_moment,
@@ -252,28 +253,46 @@ class TestUrnPermutationIdentity:
         with pytest.raises(ValueError):
             lemma_c_check([], 0.5)
         with pytest.raises(ValueError):
-            lemma_c_check([1] * 9, 0.5)
-        with pytest.raises(ValueError):
             lemma_c_check([2, 0], 0.5)
         with pytest.raises(ValueError):
             lemma_c_check([2], 1.0)
 
-    @pytest.mark.parametrize("k", range(1, MAX_PERMUTATION_K + 1))
-    def test_orders_cached_and_read_only(self, k):
-        orders = _permutation_orders(k)
-        assert _permutation_orders(k) is orders
-        assert not orders.flags.writeable
-        assert orders.shape == (math.factorial(k), k)
-        assert sorted(map(tuple, orders.tolist())) == sorted(permutations(range(k)))
+    @pytest.mark.parametrize("k", range(9, 21))
+    def test_singletons_past_eight_blocks(self, k):
+        # each of the k! orders gives 1 / (k! (1 - d)^k), so the sum is 2^k
+        assert lemma_c_check([1] * k, 0.5) == (2.0**k, 2.0**k)
 
-    @pytest.mark.parametrize("k", range(1, MAX_PERMUTATION_K + 1))
-    def test_suffix_sums_follow_permutations(self, k):
-        # rows in itertools.permutations order, with and without repeated sizes
-        for sizes in ([2, 1, 3, 1, 4, 1, 5, 2][:k], list(range(k, 0, -1))):
-            table = _suffix_sums(sizes)
-            assert table.dtype.kind == "i"
-            want = [[sum(perm[i:]) for i in range(k)] for perm in permutations(sizes)]
-            assert table.tolist() == want
+    @pytest.mark.parametrize("d", [0.0, 0.3, 0.9])
+    def test_twelve_mixed_blocks(self, d):
+        lhs, rhs = lemma_c_check([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], d)
+        assert abs(lhs - rhs) / rhs <= TOL_LEMMA_C
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_order_sums_exact_in_rationals(self, k):
+        d = Fraction(3, 10)
+        sizes = [2, 1, 3, 1, 4, 1, 5, 2, 6, 1, 2, 3][:k]
+        (got,) = _order_sums([sizes], Fraction(1), lambda x, total, count: x / (total - count * d))
+        assert got == 1 / math.prod(s - d for s in sizes)
+
+    def test_budget_guard(self, monkeypatch):
+        # 2^40 sub-multisets of 1..40, and 2^13 vectors of 1e5 + 1 floats
+        with pytest.raises(ValueError, match="budget"):
+            lemma_c_check(list(range(1, 41)), 0.3)
+        blocks, start = [], 1
+        for size in range(1, 14):
+            blocks.append(list(range(start, start + size)))
+            start += size
+        with pytest.raises(ValueError, match="budget"):
+            lemma_b_truncated_sum(PYParams(1.0, 0.5), P(blocks), 100_000)
+        # on both sides of it: (1, 1, 1) holds 4 states, here of 3 elements
+        def call():
+            return _order_sums([(1, 1, 1)], np.ones(3), lambda v, total, count: v / total)
+
+        monkeypatch.setattr(marginal, "_ORDER_SUM_BUDGET", 12)
+        assert call()[0].tolist() == [1.0] * 3  # 3! orders of 1 / (3 * 2 * 1)
+        monkeypatch.setattr(marginal, "_ORDER_SUM_BUDGET", 11)
+        with pytest.raises(ValueError, match="budget"):
+            call()
 
     @pytest.mark.parametrize("d", [0.0, 0.3, 0.9])
     def test_random_vectors(self, d):
@@ -355,11 +374,11 @@ class TestLabelSumOracle:
     @pytest.mark.parametrize("params", [PYParams(0.3, 0.7), PYParams(2.0, 0.9)], ids=str)
     @pytest.mark.parametrize("max_label", [60, 100_000])
     def test_equal_on_each_size_profile(self, params, max_label):
-        # the bridge check evaluates every size profile in one walk and
+        # the bridge check evaluates every size profile in one call and
         # reuses each value for the profile's partitions, so every partition's
-        # own call must give the walk's value bit for bit
+        # own call must give the batch's value bit for bit
         profiles = [sizes for n in range(1, 5) for sizes in _size_profiles(n)[0]]
-        walk = list(
+        batch = list(
             zip(
                 _lemma_b_truncated_sums(params, profiles, max_label),
                 _bridge_reconstructions(params, profiles, max_label),
@@ -372,7 +391,21 @@ class TestLabelSumOracle:
                     lemma_b_truncated_sum(params, partition, max_label),
                     _bridge_reconstructions(params, [sizes], max_label)[0],
                 )
-                assert value == walk[profiles.index(sizes)], partition
+                assert value == batch[profiles.index(sizes)], partition
+
+    @pytest.mark.parametrize(
+        "params", [PYParams(1.0, 0.5), PYParams(0.3, 0.7), PYParams(-0.3, 0.5)], ids=str
+    )
+    def test_bridge_past_four_elements(self, params):
+        # every profile of n = 5..10 in one call: over each n's partitions the
+        # rebuilt values keep the truncated mass, and none exceeds the law
+        by_n = {n: _size_profiles(n) for n in range(5, 11)}
+        profiles = [sizes for n_profiles, _ in by_n.values() for sizes in n_profiles]
+        rebuilt_of = dict(zip(profiles, _bridge_reconstructions(params, profiles, 60)))
+        for n, (n_profiles, index) in by_n.items():
+            got = np.array([rebuilt_of[sizes] for sizes in n_profiles])[index]
+            assert abs(math.fsum(got) - truncated_label_mass(params, n, 60)) <= TOL_TRUNCATED
+            assert (got <= _table_probs(params, n) + TOL_ROUNDING).all(), n
 
 
 class TestNestedGapSums:
@@ -442,7 +475,9 @@ GRID_PARAMS = pytest.mark.parametrize(
 
 class TestGridEvaluators:
     """The grid evaluators against the scalar loops of tests/reference.py,
-    bit for bit: the verify records depend on every bit."""
+    bit for bit wherever they add in the loops' order: the verify records
+    depend on every bit.  The label sums add in another order and are held
+    to tight relative bounds instead."""
 
     @staticmethod
     def assert_rows_identical(params, z):
@@ -476,19 +511,28 @@ class TestGridEvaluators:
     @pytest.mark.parametrize(
         "params",
         [PYParams(1.0, 0.5), PYParams(0.3, 0.7), PYParams(-0.3, 0.5), PYParams(0.0, 0.2),
-         PYParams(5.0, 0.0)],
+         PYParams(5.0, 0.0), PYParams(2.0, 0.9)],
         ids=str,
     )
     @pytest.mark.parametrize("max_label", [60, 100_000])
     def test_lemma_b_every_profile_to_n4(self, params, max_label):
+        # the sums come in another order than the per-ordering loop's, so they
+        # are held to the exact rational sum at 60 labels and to the float
+        # loop at 1e5; the closed forms and the zeros at alpha = 0 are bit-equal
         profiles = [sizes for n in range(1, 5) for sizes in _size_profiles(n)[0]]
         got = _lemma_b_truncated_sums(params, profiles, max_label)
-        want = [reference.lemma_b_truncated_sum(params, sizes, max_label) for sizes in profiles]
-        assert [tuple(map(float.hex, v)) for v in got] == [
-            tuple(map(float.hex, v)) for v in want
-        ]
+        for sizes, (value, closed) in zip(profiles, got):
+            want, want_closed = reference.lemma_b_truncated_sum(params, sizes, max_label)
+            assert closed.hex() == want_closed.hex()
+            if params.alpha == 0.0:
+                assert value.hex() == want.hex()
+                continue
+            rtol = 1e-14
+            if max_label == 60:
+                want, rtol = reference.lemma_b_exact_sum(params, sizes, max_label), 1e-15
+            assert abs(Fraction(value) - want) <= Fraction(rtol) * abs(want), sizes
 
-    # the verify grid, plus alpha <= 0, where the walk's sums carry alpha's sign
+    # the verify grid, plus alpha <= 0, where the capped sums carry alpha's sign
     @pytest.mark.parametrize(
         "alpha, d, offsets",
         LEMMA_D_GRID + ((-0.3, 0.5, (2.0,)), (-0.05, 0.1, (4.0, 2.0)), (0.0, 0.5, (4.0, 2.0))),
