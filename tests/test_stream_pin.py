@@ -4,7 +4,10 @@ Each route's tally, its draws in sampling order and its raw label matrices
 are fixed by the seed.  A change that moves a route's random stream, or the
 order in which the harness reports what it drew, fails here: such a change
 updates these values and declares the stream change in CHANGES.md.  Values
-are explicit at n = 4 and sha256 digests at n = 8.
+are explicit at n = 4 and sha256 digests at n = 8.  At (1, 0.5) hardly any
+hit lies past the stick engine's hazard table, so its label matrices are also
+pinned at heavy discounts and large alpha, where most rows search the closed
+form beyond it.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import pytest
 from pitmanyor.core import PYParams
 from pitmanyor.crp import sample_label_matrix
 from pitmanyor.harness import run_monte_carlo, sample_partitions
-from pitmanyor.stickbreak import sample_partition_labels_batch
+from pitmanyor.stickbreak import sample_allocations_batch, sample_partition_labels_batch
 from reference import restricted_growth
 
 PARAMS = PYParams(1.0, 0.5)
@@ -79,6 +82,19 @@ LABELS_N8_SHA = {
     ("crp", 42): "56cd0973d31f03c9049fc066ce43018abcba0ed8d6cf8f902679cbc7024a73f8",
 }
 
+# the same digest of stick-engine label matrices at seed 1729, by (sampler,
+# alpha, d, n, rows); no full label of this seed passes 2^53
+FAR_LABELS_SHA = {
+    ("partition", 1.0, 0.9, 30, 1024):
+        "b05d3fc2627250c6027b010787ef3fd49dd7ae1aec98de3f1a439bc96ba4d714",
+    ("partition", 1e6, 0.5, 30, 512):
+        "2dfbfb039d15a94a276f94f375c16acde987618c250398fceafc2b8b15d18bee",
+    ("partition", 0.3, 0.7, 8, LABEL_ROWS):
+        "dcd87641f8e9b7432a328fc2ef7395b11eeb227128b3c15744da84b6ca53a70c",
+    ("full", 0.3, 0.7, 8, LABEL_ROWS):
+        "0399f47c0fbf35b50317f44f3c6f459df38d2644cdbf32a75946339d0326ae15",
+}
+
 ROUTES = [(sampler, seed) for sampler in ("stick", "crp") for seed in (1729, 42)]
 
 
@@ -127,3 +143,13 @@ def test_label_matrices_n8(sampler, seed):
     assert z.shape == (LABEL_ROWS, 8)
     raw = np.ascontiguousarray(z, dtype="<i8").tobytes()
     assert hashlib.sha256(raw).hexdigest() == LABELS_N8_SHA[sampler, seed]
+
+
+@pytest.mark.parametrize("case", list(FAR_LABELS_SHA))
+def test_far_search_label_matrices(case):
+    mode, alpha, d, n, rows = case
+    engine = sample_partition_labels_batch if mode == "partition" else sample_allocations_batch
+    z = engine(PYParams(alpha, d), n, rows, np.random.default_rng(1729))
+    assert z.shape == (rows, n)
+    raw = np.ascontiguousarray(z, dtype="<i8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == FAR_LABELS_SHA[case]
