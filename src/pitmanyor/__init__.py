@@ -42,7 +42,6 @@ from .marginal import (
     lemma_d_check,
 )
 from .stickbreak import (
-    beta_sample,
     sample_allocations_batch,
     sample_partition_labels_batch,
     stickbreak_sample_partition,
@@ -68,7 +67,6 @@ __all__ = [
     "crp_sample_partition",
     "sequential_log_prob",
     "sample_label_matrix",
-    "beta_sample",
     "sample_allocations_batch",
     "sample_partition_labels_batch",
     "stickbreak_sample_partition",

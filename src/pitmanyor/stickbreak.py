@@ -1,4 +1,4 @@
-"""Stick-breaking construction: beta stick sampling and exact allocation draws.
+"""Stick-breaking construction: exact allocation draws with the sticks integrated out.
 
 The i-th stick fraction (1-based) is Beta(1 - d, alpha + i d); its weight is
 the fraction times the mass left unbroken by earlier sticks.
@@ -28,7 +28,6 @@ import numpy as np
 from .core import Partition, PYParams, _stirling_shift, partition_from_allocations
 
 __all__ = [
-    "beta_sample",
     "sample_allocations_batch",
     "sample_partition_labels_batch",
     "stickbreak_sample_partition",
@@ -42,19 +41,6 @@ _TABLE_STICKS = 1 << 14
 _MAX_LABEL = 2.0**53
 
 
-def beta_sample(a: float, b: float, rng: np.random.Generator, size: int | None = None):
-    """Beta(a, b) variates from ``rng.beta``; scalar when size is None.
-
-    ``Generator.beta`` switches to log space when both shapes are at most
-    one, so tiny shapes such as the first stick's (1 - d, alpha + d) near
-    d = 1, alpha = -d give no 0/0 NaNs.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
-    out = rng.beta(a, b, size)
-    return float(out) if size is None else out
-
-
 @lru_cache(maxsize=32)
 def _hazard_table(alpha: float, d: float, m: int) -> np.ndarray:
     """Cumulative hazard H_m(j) = -log P(sticks 1..j all miss m observations)
@@ -66,10 +52,11 @@ def _hazard_table(alpha: float, d: float, m: int) -> np.ndarray:
     (below 2^-54) the hazard is inf; its true value is then above 37, which
     an Exp(1) target passes with probability below 2^-54.
     """
-    i = np.arange(1, _TABLE_STICKS + 1)
-    r = np.arange(m)[:, None]
+    x = alpha + 1.0 - d + np.arange(1, _TABLE_STICKS + 1) * d
+    per_stick = np.zeros(_TABLE_STICKS)
     with np.errstate(divide="ignore"):
-        per_stick = -np.log1p(-(1.0 - d) / (alpha + 1.0 - d + i * d + r)).sum(axis=0)
+        for r in range(m):
+            per_stick -= np.log1p(-(1.0 - d) / (x + r))
     table = np.concatenate(([0.0], np.cumsum(per_stick)))
     table.flags.writeable = False
     return table
@@ -121,35 +108,30 @@ def _hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
 
 
 def _far_hit_sticks(
-    alpha: float, d: float, m: int, start: np.ndarray, target: np.ndarray
+    alpha: float, d: float, m: int, prev: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
-    """Smallest stick j >= start with H_m(j) - H_m(K) > target, for rows whose
-    target lies beyond the table: doubling, then bisection, both in log j.
+    """Smallest stick j > prev with H_m(j) - H_m(K) > target, for rows whose
+    target lies beyond the table, where H_m(prev) - H_m(K) <= target: one
+    bracketing loop in log j, which squares a row's upper end while it is
+    infinite and bisects once it is finite.
 
-    Squaring the upper end reaches any float in at most seven steps, and
-    bisecting log j down to one stick (or one ulp) takes at most about 60.  Indices are float64; a
-    row whose hit lies beyond the float range gets j = inf.
+    Squaring reaches any float in at most seven steps, and bisecting log j
+    down to one stick (or one ulp) takes at most about 60.  Indices are
+    float64; a row whose hit lies beyond the float range gets j = inf.
     """
-    lo = np.maximum(start - 1.0, float(_TABLE_STICKS))  # hazard(lo) <= target
+    lo = np.maximum(prev, float(_TABLE_STICKS))  # hazard(lo) <= target
     hi = np.full_like(lo, np.inf)  # hazard(hi) > target
     rows = np.flatnonzero(np.isfinite(lo))
     with np.errstate(over="ignore"):
         while rows.size:
-            step = lo[rows] * lo[rows]
-            keep = np.isfinite(step)
-            rows, step = rows[keep], step[keep]
-            past = _far_hazard(alpha, d, m, step) > target[rows]
-            hi[rows[past]] = step[past]
-            lo[rows[~past]] = step[~past]
-            rows = rows[~past]
-    rows = np.flatnonzero(np.isfinite(hi))
-    while rows.size:
-        mid = np.maximum(np.floor(np.sqrt(lo[rows]) * np.sqrt(hi[rows])), lo[rows] + 1.0)
-        keep = (mid > lo[rows]) & (mid < hi[rows])
-        rows, mid = rows[keep], mid[keep]
-        past = _far_hazard(alpha, d, m, mid) > target[rows]
-        hi[rows[past]] = mid[past]
-        lo[rows[~past]] = mid[~past]
+            below, above = lo[rows], hi[rows]
+            bisect = np.maximum(np.floor(np.sqrt(below) * np.sqrt(above)), below + 1.0)
+            mid = np.where(above < np.inf, bisect, below * below)
+            keep = (mid > below) & (mid < above)
+            rows, mid = rows[keep], mid[keep]
+            past = _far_hazard(alpha, d, m, mid) > target[rows]
+            hi[rows[past]] = mid[past]
+            lo[rows[~past]] = mid[~past]
     return hi
 
 
@@ -183,7 +165,8 @@ def _hit_events(
     """The batch engine: each row's hit events, stage by stage.
 
     Stage m takes one hit event for every row with m observations unplaced.
-    Its next hit stick J solves H_m(J) > H_m(start - 1) + E with E ~ Exp(1):
+    Its next hit stick J solves H_m(J) > H_m(prev) + E with E ~ Exp(1), where
+    prev is the row's last hit stick (0 before its first hit):
     one `searchsorted` on the cached table up to _TABLE_STICKS, a search of
     the closed form beyond it.  Returns float64 labels: the hit sticks J
     (full_labels, inf past the float range) or the hits' ordinals, which
@@ -195,7 +178,7 @@ def _hit_events(
         raise ValueError(f"trials must be >= 1, got {trials}")
     alpha, d = params.alpha, params.d
     remaining = np.full(trials, n)
-    start = np.ones(trials)
+    prev = np.zeros(trials)
     events = np.zeros(trials, dtype=np.intp)
     labels = np.zeros((trials, n))
     sizes = np.zeros((trials, n), dtype=np.intp)
@@ -204,21 +187,21 @@ def _hit_events(
         if not rows.size:
             continue
         table = _hazard_table(alpha, d, m)
-        first = start[rows]
+        last = prev[rows]
         target = rng.standard_exponential(rows.size)
-        target += _hazard(alpha, d, m, first - 1.0)
+        target += _hazard(alpha, d, m, last)
         hit = np.searchsorted(table, target, side="right").astype(float)
         # beyond the table, the search takes targets relative to H_m(K); a
         # row whose last hit left the float range stays there
         far = hit > _TABLE_STICKS
-        hit[far] = _far_hit_sticks(alpha, d, m, first[far], target[far] - table[-1])
+        hit[far] = _far_hit_sticks(alpha, d, m, last[far], target[far] - table[-1])
         taken = _hit_sizes(d, m, alpha + hit * d, rng) if m > 1 else 1
         slot = events[rows]
         labels[rows, slot] = hit if full_labels else slot + 1
         sizes[rows, slot] = taken
         events[rows] += 1
         remaining[rows] -= taken
-        start[rows] = hit + 1.0
+        prev[rows] = hit
     z = np.repeat(labels.ravel(), sizes.ravel()).reshape(trials, n)
     return rng.permuted(z, axis=1, out=z)
 

@@ -461,7 +461,7 @@ def _beta_moment_stats(config, rng, values):
     call for all the draws would return there.  The reductions are the ones
     `mean()` and `std(ddof=1)` make on a contiguous 1-D array, in place.
     """
-    # calls `rng.beta`, not `beta_sample`: no traced public function runs off the main thread
+    # draws with `rng.beta` itself, so no traced package function runs off the main thread
     a, b, c, e = config
     trials = values.size
     for start in range(0, trials, _CHUNK):

@@ -25,13 +25,13 @@ are held to the float per-ordering loop at 1e5 labels and at 60 labels to
 `_gap_sum` with a per-gap cap is lemma D's nested sum, walked on its own
 rather than as a prefix walk.
 
-`cumsum_label_matrix` and `hit_sizes` are the batch kernels written with
-accumulates along axis 0 (`np.cumsum`, `np.cumprod`, a sum over axis 0),
-which the package's row-at-a-time kernels replaced; the tests pin those
-kernels to them bit for bit on the same random stream.
+`cumsum_label_matrix`, `hit_sizes` and `hazard_table` are the batch kernels
+written with accumulates along axis 0 (`np.cumsum`, `np.cumprod`, a sum over
+axis 0), which the package's row-at-a-time kernels replaced; the tests pin
+those kernels to them bit for bit, the first two on the same random stream.
 
 `check_beta_moment_mc` is the serial beta-moment Monte Carlo check that the
-package's thread-pool check replaced: one `beta_sample` draw of all the
+package's thread-pool check replaced: one `rng.beta` draw of all the
 trials per config, then `mean()` and `std(ddof=1)`.  The tests pin the
 threaded check's records to it byte for byte.
 """
@@ -44,10 +44,10 @@ from itertools import accumulate, permutations
 
 import numpy as np
 
+import pitmanyor.stickbreak as sb
 from pitmanyor import constants
 from pitmanyor.core import Partition, PYParams, log_rising_factorial, partition_from_allocations
 from pitmanyor.marginal import allocation_stats, beta_moment
-from pitmanyor.stickbreak import beta_sample
 from pitmanyor.verify import BETA_MOMENT_CONFIGS, _record
 
 # Sticks one walk may realize before it raises, so that a heavy tail fails
@@ -94,7 +94,7 @@ def extend_sticks(params: PYParams, state: StickState, rng: np.random.Generator)
             f"stick extension exceeded the hard cap of {STICK_CAP} sticks"
         )
     i = state.n_sticks + 1
-    v = beta_sample(1.0 - params.d, params.alpha + i * params.d, rng)
+    v = rng.beta(1.0 - params.d, params.alpha + i * params.d)
     weight = v * state.residual
     state.v.append(v)
     state.pi.append(weight)
@@ -334,13 +334,23 @@ def hit_sizes(d: float, m: int, b: np.ndarray, rng: np.random.Generator) -> np.n
     return 1 + (cum[:-1] <= u).sum(axis=0)
 
 
+def hazard_table(alpha: float, d: float, m: int) -> np.ndarray:
+    """`stickbreak._hazard_table` with the m log1p rows broadcast as one
+    (m, sticks) array and summed over axis 0."""
+    i = np.arange(1, sb._TABLE_STICKS + 1)
+    r = np.arange(m)[:, None]
+    with np.errstate(divide="ignore"):
+        per_stick = -np.log1p(-(1.0 - d) / (alpha + 1.0 - d + i * d + r)).sum(axis=0)
+    return np.concatenate(([0.0], np.cumsum(per_stick)))
+
+
 def check_beta_moment_mc(trials: int, seed: int) -> list[dict]:
     """`verify.check_beta_moment_mc` run one config after another, each
-    config's draws made by one `beta_sample` call."""
+    config's draws made by one `rng.beta` call."""
     out = []
     for idx, (a, b, c, e) in enumerate(BETA_MOMENT_CONFIGS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 11, idx]))
-        values = beta_sample(a, b, rng, size=trials)
+        values = rng.beta(a, b, trials)
         work = 1.0 - values
         work **= e
         values **= c

@@ -7,7 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pitmanyor import harness, verify
-from pitmanyor.core import Partition, PYParams, _growth_strings, _table_index, enumerate_partitions
+from pitmanyor.constants import MC_SIGMA
+from pitmanyor.core import (
+    Partition,
+    PYParams,
+    _growth_strings,
+    _table_index,
+    enumerate_partitions,
+    log_gamma_ratio,
+)
 from pitmanyor.eppf import eppf_log_prob
 from pitmanyor.harness import (
     MAX_GROWTH_N,
@@ -229,6 +237,27 @@ class TestTallyWithoutPartitionTable:
         index = _table_index([restricted_growth(singletons)])[0]
         assert emp.freq(singletons) == emp.tally[index] / 2000 > 0.0
         assert emp.freq(P([[1, 2]])) == 0.0
+
+
+def closed_form_mean_blocks(alpha, d, n):
+    """E[K_n] = (alpha + d)/d (alpha + d + 1)_(n-1) / (alpha + 1)_(n-1) - alpha/d,
+    or sum_{i<n} alpha / (alpha + i) at d = 0."""
+    if d == 0.0:
+        return math.fsum(alpha / (alpha + i) for i in range(n))
+    rising = math.exp(log_gamma_ratio(alpha + n, d, 0.0) - log_gamma_ratio(alpha + 1.0, d, 0.0))
+    return (alpha + d) / d * rising - alpha / d
+
+
+@pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (1.0, 0.0)])
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
+def test_batch_samplers_block_count_mean_at_n100(sampler, alpha, d):
+    # the stick route labels blocks by ordinal from 1, the restaurant route
+    # from 0, so a row's block count is its largest label (+ 1)
+    n, rows = 100, 1024
+    z = SAMPLERS[sampler](PYParams(alpha, d), n, rows, np.random.default_rng(5))
+    blocks = z.max(axis=1) + (sampler == "crp")
+    se = blocks.std(ddof=1) / math.sqrt(rows)
+    assert abs(blocks.mean() - closed_form_mean_blocks(alpha, d, n)) <= MC_SIGMA * se
 
 
 def exact_mean_blocks(alpha, d, n_values):

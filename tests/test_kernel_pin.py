@@ -1,4 +1,4 @@
-"""The two batch kernels pinned bit for bit to their axis-0 references.
+"""The batch kernels pinned bit for bit to their axis-0 references.
 
 `crp.sample_label_matrix` and `stickbreak._hit_sizes` take their running sums
 one contiguous row at a time.  The references in tests/reference.py take the
@@ -9,6 +9,8 @@ hardly ever show a sum that is one ulp off, so the uniforms are handed out as
 the running sums themselves, in the order the kernel takes them.  The
 restaurant kernel seats its columns in tiles of `crp._TILE`, all steps of a
 tile before the next, so the reference's sums are compared tile by tile.
+`stickbreak._hazard_table` subtracts its per-stick log1p rows one at a time
+from one array, where the reference sums them as one matrix over axis 0.
 """
 
 from unittest import mock
@@ -123,6 +125,16 @@ def test_hit_sizes_match_axis0_accumulates(alpha, d, m):
         for seed in SEEDS:
             b = stick_weights(alpha, d, trials, seed)
             assert_same_draws(sb._hit_sizes, reference.hit_sizes, d, m, b, seed=seed)
+
+
+# (0, 1e-25): stick 1 takes every observation to rounding, so the table is inf
+# from its first stick on
+@pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (-0.999, 0.999), (0.0, 1e-25)])
+@pytest.mark.parametrize("m", [1, 37, 300])
+def test_hazard_table_matches_axis0_sum(alpha, d, m):
+    got = sb._hazard_table(alpha, d, m)
+    want = reference.hazard_table(alpha, d, m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -15,54 +15,11 @@ from pitmanyor.constants import MC_SIGMA
 from pitmanyor.core import Partition, PYParams, partition_from_allocations
 from pitmanyor.marginal import _allocation_log_probs
 from pitmanyor.stickbreak import (
-    beta_sample,
     sample_allocations_batch,
     sample_partition_labels_batch,
     stickbreak_sample_partition,
 )
 from reference import StickState, extend_sticks, sample_allocations
-
-
-class TestBetaSampler:
-    def test_shape_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            beta_sample(0.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            beta_sample(1.0, -1.0, rng)
-
-    def test_uniform_mean(self):
-        rng = np.random.default_rng(101)
-        draws = beta_sample(1.0, 1.0, rng, size=1_000_000)
-        assert abs(draws.mean() - 0.5) <= 0.001
-
-    def test_sub_one_shape_mean(self):
-        rng = np.random.default_rng(102)
-        draws = beta_sample(0.5, 1.5, rng, size=1_000_000)
-        assert abs(draws.mean() - 0.25) <= 0.002
-
-    def test_product_moment(self):
-        # E[y(1-y)] for Beta(2,3) equals B(3,4)/B(2,3) = 1/5
-        rng = np.random.default_rng(103)
-        draws = beta_sample(2.0, 3.0, rng, size=1_000_000)
-        assert abs((draws * (1 - draws)).mean() - 0.2) <= 0.002
-
-    def test_open_interval(self):
-        rng = np.random.default_rng(104)
-        draws = beta_sample(0.1, 20.0, rng, size=100_000)
-        assert draws.min() > 0.0 and draws.max() < 1.0
-
-    def test_tiny_shapes_give_no_nan(self):
-        # first-stick shapes (1 - d, alpha + d) at d = 0.999, alpha = -d + 1e-9:
-        # both gammas of a g1 / (g1 + g2) ratio underflow to 0 there
-        a, b = 0.001, 1e-9
-        draws = beta_sample(a, b, np.random.default_rng(105), size=100_000)
-        assert not np.isnan(draws).any()
-        assert draws.min() >= 0.0 and draws.max() <= 1.0
-        # the sample can be constant, so the standard error is the law's
-        mean = a / (a + b)
-        se = math.sqrt(mean * (1 - mean) / (a + b + 1) / draws.size)
-        assert abs(draws.mean() - mean) <= MC_SIGMA * se
 
 
 class TestStickState:
@@ -85,7 +42,7 @@ class TestStickState:
         # E[pi_1] = (1-d)/(1+alpha) = 0.25 at (alpha, d) = (1, 0.5)
         params = PYParams(1.0, 0.5)
         rng = np.random.default_rng(8)
-        first = beta_sample(1.0 - params.d, params.alpha + params.d, rng, size=200_000)
+        first = rng.beta(1.0 - params.d, params.alpha + params.d, 200_000)
         se = first.std(ddof=1) / math.sqrt(first.size)
         assert abs(first.mean() - 0.25) <= 3.5 * se
 
@@ -241,15 +198,31 @@ class TestHitEventEngine:
     @pytest.mark.parametrize("alpha, d, m", [(1.0, 0.9, 1), (-0.3, 0.9, 3), (1e5, 0.0, 2)])
     def test_far_hit_is_first_crossing(self, alpha, d, m):
         rng = np.random.default_rng(7)
-        targets = rng.standard_exponential(2000)
-        start = np.full(targets.size, sb._TABLE_STICKS + 1.0)
-        hit = sb._far_hit_sticks(alpha, d, m, start, targets)
+        k = float(sb._TABLE_STICKS)
+        # one call, so rows still squaring share it with rows bisecting: 2000
+        # rows from the table's end, 2000 whose last hit lies past the table,
+        # one target no finite stick reaches and one row already at inf
+        past = np.floor(np.exp(rng.uniform(np.log(k + 1.0), 30.0, 2000)))
+        prev = np.concatenate((np.full(2000, k), past, [k, np.inf]))
+        targets = np.concatenate((
+            rng.standard_exponential(2000),
+            sb._far_hazard(alpha, d, m, past) + rng.standard_exponential(2000),
+            [1e300, np.inf],
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hit = sb._far_hit_sticks(alpha, d, m, prev, targets)
+        # squaring overflows before any stick reaches 1e300
+        assert hit[-2] == np.inf and hit[-1] == np.inf
+        hit, prev, targets = hit[:-2], prev[:-2], targets[:-2]
+        assert (hit > prev).all()
         # up to 2^40 one stick still moves the hazard by far more than an ulp
         resolved = hit < 2.0**40
-        assert resolved.sum() > 1000
-        hit, targets = hit[resolved], targets[resolved]
+        assert resolved[:2000].sum() > 1000 and resolved[2000:].sum() > 1000
+        hit, prev, targets = hit[resolved], prev[resolved], targets[resolved]
         assert (sb._far_hazard(alpha, d, m, hit) > targets).all()
-        before = np.maximum(hit - 1.0, sb._TABLE_STICKS)
+        before = hit - 1.0
+        assert (before >= prev).all()
         assert (sb._far_hazard(alpha, d, m, before) <= targets).all()
 
     @pytest.mark.parametrize("alpha, d", [(1e5, 5e-324), (251178.0, 1.4e-303)])
