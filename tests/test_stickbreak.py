@@ -212,7 +212,7 @@ class TestHitEventEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             hit = sb._far_hit_sticks(alpha, d, m, prev, targets)
-        # squaring overflows before any stick reaches 1e300
+        # no stick's hazard reaches 1e300, so that row squares until it overflows
         assert hit[-2] == np.inf and hit[-1] == np.inf
         hit, prev, targets = hit[:-2], prev[:-2], targets[:-2]
         assert (hit > prev).all()
