@@ -7,7 +7,8 @@ updates these values and declares the stream change in CHANGES.md.  Values
 are explicit at n = 4 and sha256 digests at n = 8.  At (1, 0.5) hardly any
 hit lies past the stick engine's hazard table, so its label matrices are also
 pinned at heavy discounts and large alpha, where most rows search the closed
-form beyond it.
+form beyond it, and at configs whose hits the table search resolves: a light
+discount, d = 0 and a table that ends at inf after its first stick.
 """
 
 import hashlib
@@ -95,6 +96,14 @@ FAR_LABELS_SHA = {
         "0399f47c0fbf35b50317f44f3c6f459df38d2644cdbf32a75946339d0326ae15",
 }
 
+# the same digest, at n = 4, seed 1729 and LABEL_ROWS rows, of partition-label
+# matrices whose hits the table search finds, by (alpha, d)
+TABLE_LABELS_SHA = {
+    (5.0, 0.1): "84ee2ee108150304bd09b30d0c1ec8602cc6f5380ce8c25dcc89ce5cde550a28",
+    (1.0, 0.0): "28aab4fecb53d1d9e4c2a70ce5d5257c382b8c27a18095ffcb4bed3b921e3b2b",
+    (0.0, 1e-25): "2f62433dd2ecff86dd7467f366e03ffeec31771926ffbb4f38ee86fc72734ab5",
+}
+
 ROUTES = [(sampler, seed) for sampler in ("stick", "crp") for seed in (1729, 42)]
 
 
@@ -153,3 +162,12 @@ def test_far_search_label_matrices(case):
     assert z.shape == (rows, n)
     raw = np.ascontiguousarray(z, dtype="<i8").tobytes()
     assert hashlib.sha256(raw).hexdigest() == FAR_LABELS_SHA[case]
+
+
+@pytest.mark.parametrize("alpha, d", list(TABLE_LABELS_SHA))
+def test_table_search_label_matrices(alpha, d):
+    rng = np.random.default_rng(1729)
+    z = sample_partition_labels_batch(PYParams(alpha, d), 4, LABEL_ROWS, rng)
+    assert z.shape == (LABEL_ROWS, 4)
+    raw = np.ascontiguousarray(z, dtype="<i8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == TABLE_LABELS_SHA[alpha, d]
