@@ -11,7 +11,9 @@ across sticks.  A row therefore jumps from one hit stick to the next: the
 next hit stick J inverts the closed-form survival of the empty sticks in
 between, and the hit size follows P(H = h | H >= 1), proportional to
 C(m, h) (1 - d)_h (alpha + J d)_(m - h).  The survival is exp(-H_m(j)),
-read through `_hazard` (shared with `marginal.truncated_label_mass`).  Which
+read through `_hazard` (shared with `marginal.truncated_label_mass`) and
+inverted on its cached table by a guide table of equal hazard buckets, which
+finds the crossing with one comparison for most rows.  Which
 observations a hit takes is uniform, so the columns are filled in hit order
 and each row is permuted once at the end.  A row takes at most n hit events,
 whatever the tail, so there is no truncation level and no stick cap.  The
@@ -39,6 +41,12 @@ _TABLE_STICKS = 1 << 14
 # largest stick index full-label mode returns: stick indices are carried as
 # float64, which holds every integer up to 2^53
 _MAX_LABEL = 2.0**53
+# buckets of the guide that inverts each hazard table, and the hazard it spans
+# at most: a target is Exp(1) past the row's last hit, so few lie beyond
+_GUIDE_BUCKETS = 1 << 12
+_GUIDE_RANGE = 64.0
+# fewest targets of one lookup that repay the guide's fixed cost
+_GUIDE_MIN_TARGETS = 1024
 
 
 @lru_cache(maxsize=32)
@@ -60,6 +68,55 @@ def _hazard_table(alpha: float, d: float, m: int) -> np.ndarray:
     table = np.concatenate(([0.0], np.cumsum(per_stick)))
     table.flags.writeable = False
     return table
+
+
+def _bucket(x: np.ndarray, scale: float) -> np.ndarray:
+    """The guide bucket min(floor(x scale), _GUIDE_BUCKETS) of hazards
+    x >= 0, inf included: one float map for the guide's entries and for the
+    targets it looks up."""
+    return np.minimum(x * scale, float(_GUIDE_BUCKETS)).astype(np.intp)
+
+
+@lru_cache(maxsize=32)
+def _hazard_guide(alpha: float, d: float, m: int) -> tuple[float, np.ndarray]:
+    """Guide table (Chen and Asau 1974; Devroye 1986, III.2.4) that inverts
+    `_hazard_table(alpha, d, m)`: returns (scale, start).
+
+    Under `_bucket`, the scale splits [0, min(H_m(K), _GUIDE_RANGE)],
+    K = _TABLE_STICKS, into _GUIDE_BUCKETS equal buckets and puts every
+    hazard past it in one more.  Since `_bucket` never decreases, a target in
+    bucket b has its first crossing between s_b and s_(b+1), where s_b counts
+    the table entries in lower buckets.  Where bucket b holds at most one
+    entry, start[b] = s_b, and one comparison with entry s_b decides (capped
+    at K, whose entry then lies below the target); start[b] = -1 marks a
+    crowded bucket.  The span is at least 2^-1000, which keeps the scale
+    finite where every hazard rounds to nearly 0.
+    """
+    table = _hazard_table(alpha, d, m)
+    scale = _GUIDE_BUCKETS / max(min(table[-1], _GUIDE_RANGE), 2.0**-1000)
+    counts = np.bincount(_bucket(table, scale), minlength=_GUIDE_BUCKETS + 1)
+    start = np.minimum(np.cumsum(counts) - counts, _TABLE_STICKS).astype(np.int16)
+    start[counts > 1] = -1
+    start.flags.writeable = False
+    return scale, start
+
+
+def _near_hits(alpha: float, d: float, m: int, target: np.ndarray) -> np.ndarray:
+    """np.searchsorted(_hazard_table(alpha, d, m), target, side="right")
+    through the guide: one comparison per target in an uncrowded bucket, one
+    `searchsorted` over the rest.  Below _GUIDE_MIN_TARGETS targets the plain
+    `searchsorted` is the faster, and no guide is built."""
+    table = _hazard_table(alpha, d, m)
+    if target.size < _GUIDE_MIN_TARGETS:
+        return np.searchsorted(table, target, side="right")
+    scale, start = _hazard_guide(alpha, d, m)
+    # int16 keeps a guide at 8 KB, but numpy gathers fastest by intp; a
+    # crowded bucket's -1 reads the last entry, and its rows are redone below
+    lo = start[_bucket(target, scale)].astype(np.intp)
+    hit = lo + (table[lo] <= target)
+    crowded = np.flatnonzero(lo < 0)
+    hit[crowded] = np.searchsorted(table, target[crowded], side="right")
+    return hit
 
 
 def _far_hazard(alpha: float, d: float, m: int, j: np.ndarray) -> np.ndarray:
@@ -117,11 +174,15 @@ def _far_hit_sticks(
 
     Squaring reaches any float in at most seven steps, and bisecting log j
     down to one stick (or one ulp) takes at most about 60.  Indices are
-    float64; a row whose hit lies beyond the float range gets j = inf.
+    float64; a row whose hit lies beyond the float range gets j = inf.  So
+    does every row where the gamma-ratio form's largest z_K overflows (alpha
+    past about 1e308 d, with d >= 2^-106), which leaves that form no finite
+    argument: those hits lie near E alpha / m sticks, far past 2^53.
     """
     lo = np.maximum(prev, float(_TABLE_STICKS))  # hazard(lo) <= target
     hi = np.full_like(lo, np.inf)  # hazard(hi) > target
-    rows = np.flatnonzero(np.isfinite(lo))
+    finite_z_k = d < 2.0**-106 or (alpha + 1.0 - d + (m - 1)) / d + _TABLE_STICKS + 1.0 < np.inf
+    rows = np.flatnonzero(np.isfinite(lo) & finite_z_k)
     with np.errstate(over="ignore"):
         while rows.size:
             below, above = lo[rows], hi[rows]
@@ -167,8 +228,9 @@ def _hit_events(
     Stage m takes one hit event for every row with m observations unplaced.
     Its next hit stick J solves H_m(J) > H_m(prev) + E with E ~ Exp(1), where
     prev is the row's last hit stick (0 before its first hit):
-    one `searchsorted` on the cached table up to _TABLE_STICKS, a search of
-    the closed form beyond it.  Returns float64 labels: the hit sticks J
+    `_near_hits` on the cached table up to _TABLE_STICKS, a search of the
+    closed form beyond it.  Each event is written at the flat index
+    row * n + ordinal.  Returns float64 labels: the hit sticks J
     (full_labels, inf past the float range) or the hits' ordinals, which
     give the same partition.
     """
@@ -180,29 +242,31 @@ def _hit_events(
     remaining = np.full(trials, n)
     prev = np.zeros(trials)
     events = np.zeros(trials, dtype=np.intp)
-    labels = np.zeros((trials, n))
-    sizes = np.zeros((trials, n), dtype=np.intp)
+    labels = np.zeros(trials * n)
+    sizes = np.zeros(trials * n, dtype=np.intp)
     for m in range(n, 0, -1):
         rows = np.flatnonzero(remaining == m)
         if not rows.size:
             continue
-        table = _hazard_table(alpha, d, m)
         last = prev[rows]
         target = rng.standard_exponential(rows.size)
         target += _hazard(alpha, d, m, last)
-        hit = np.searchsorted(table, target, side="right").astype(float)
+        hit = _near_hits(alpha, d, m, target).astype(float)
         # beyond the table, the search takes targets relative to H_m(K); a
         # row whose last hit left the float range stays there
         far = hit > _TABLE_STICKS
-        hit[far] = _far_hit_sticks(alpha, d, m, last[far], target[far] - table[-1])
+        if far.any():
+            relative = target[far] - _hazard_table(alpha, d, m)[-1]
+            hit[far] = _far_hit_sticks(alpha, d, m, last[far], relative)
         taken = _hit_sizes(d, m, alpha + hit * d, rng) if m > 1 else 1
         slot = events[rows]
-        labels[rows, slot] = hit if full_labels else slot + 1
-        sizes[rows, slot] = taken
+        at = rows * n + slot
+        labels[at] = hit if full_labels else slot + 1
+        sizes[at] = taken
         events[rows] += 1
         remaining[rows] -= taken
         prev[rows] = hit
-    z = np.repeat(labels.ravel(), sizes.ravel()).reshape(trials, n)
+    z = np.repeat(labels, sizes).reshape(trials, n)
     return rng.permuted(z, axis=1, out=z)
 
 

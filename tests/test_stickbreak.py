@@ -7,13 +7,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import pitmanyor.stickbreak as sb
 import reference
 from pitmanyor.constants import MC_SIGMA
 from pitmanyor.core import Partition, PYParams, partition_from_allocations
-from pitmanyor.marginal import _allocation_log_probs
+from pitmanyor.marginal import _allocation_log_probs, truncated_label_mass
 from pitmanyor.stickbreak import (
     sample_allocations_batch,
     sample_partition_labels_batch,
@@ -261,6 +263,69 @@ class TestHitEventEngine:
         # ordinals are dense: a row's labels are exactly 1..(its block count)
         ordered = np.sort(z, axis=1)
         assert (ordered[:, 0] == 1).all() and (np.diff(ordered, axis=1) <= 1).all()
+
+    def test_float_range_past_the_closed_form(self):
+        # at (1e300, 1e-10) the closed form's z_K overflows: every hit past
+        # the table is sent to inf, with no NaN, so every row of n = 10
+        # takes 10 blocks and full labels raise
+        params = PYParams(1e300, 1e-10)
+        z = sample_partition_labels_batch(params, 10, 2000, np.random.default_rng(13))
+        assert (np.sort(z, axis=1) == np.arange(1, 11)).all()
+        with pytest.raises(OverflowError, match="passed 2\\^53"):
+            sample_allocations_batch(params, 10, 2000, np.random.default_rng(13))
+
+
+# hazard tables of every shape the guide meets: at d = 0 H(K) lies far past
+# the guide's span, at (1e6, 0.5) it is near 0, (0, 1e-25) ends at inf after
+# stick 1, at (1e308, 0.5) every hazard is below 2^-1000 and at
+# (1e308, 1 - 2^-53) every per-stick hazard rounds to 0
+GUIDE_CONFIGS = [
+    (1.0, 0.0), (1e6, 0.5), (0.0, 1e-25), (0.3, 0.7), (1e308, 0.5), (1e308, 1.0 - 2.0**-53),
+]
+
+
+class TestGuideLookup:
+    @given(
+        config=st.sampled_from(GUIDE_CONFIGS),
+        m=st.integers(1, 8),
+        entries=st.lists(st.integers(0, sb._TABLE_STICKS), max_size=40),
+        edges=st.lists(st.integers(0, sb._GUIDE_BUCKETS + 1), max_size=40),
+        past=st.lists(st.floats(0.0, 1e3), max_size=10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lookup_is_searchsorted(self, config, m, entries, edges, past, seed):
+        # the guide's first crossing is searchsorted's, at table entries,
+        # at bucket edges and the floats beside them, past H(K) and at inf,
+        # among Exp(1) targets past random sticks, enough to use the guide
+        alpha, d = config
+        table = sb._hazard_table(alpha, d, m)
+        scale, _ = sb._hazard_guide(alpha, d, m)
+        edge = np.array(edges, dtype=float) / scale
+        rng = np.random.default_rng(seed)
+        drawn = rng.standard_exponential(sb._GUIDE_MIN_TARGETS)
+        drawn += table[rng.integers(0, 200, drawn.size)]
+        targets = np.concatenate((
+            table[entries],
+            edge,
+            np.nextafter(edge, 0.0),
+            np.nextafter(edge, np.inf),
+            table[np.isfinite(table)][-1] + np.array(past),
+            [np.inf],
+            drawn,
+        ))
+        got = sb._near_hits(alpha, d, m, targets)
+        assert (got == np.searchsorted(table, targets, side="right")).all()
+
+    def test_exact_checks_build_no_guide(self):
+        # only the engine reads the guide: the exact law's hazards, in the
+        # table and past it, leave its cache empty
+        sb._hazard_guide.cache_clear()
+        for max_label in (60, 10**5, 10**12):
+            truncated_label_mass(PYParams(1.0, 0.5), 6, max_label)
+        j = np.arange(4 * sb._GUIDE_MIN_TARGETS, dtype=float) * 97.0
+        sb._hazard(0.3, 0.7, 4, j)
+        assert sb._hazard_guide.cache_info().currsize == 0
 
 
 class TestPartitionModeBatch:
