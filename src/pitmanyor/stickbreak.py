@@ -45,8 +45,6 @@ _MAX_LABEL = 2.0**53
 # at most: a target is Exp(1) past the row's last hit, so few lie beyond
 _GUIDE_BUCKETS = 1 << 12
 _GUIDE_RANGE = 64.0
-# fewest targets of one lookup that repay the guide's fixed cost
-_GUIDE_MIN_TARGETS = 1024
 
 
 @lru_cache(maxsize=32)
@@ -77,7 +75,10 @@ def _bucket(x: np.ndarray, scale: float) -> np.ndarray:
     return np.minimum(x * scale, float(_GUIDE_BUCKETS)).astype(np.intp)
 
 
-@lru_cache(maxsize=32)
+# a guide is 8 KB, so its cache keeps every stage's guide up to n = 256
+# (2 MB) where `_hazard_table`'s keeps 32 tables: past n = 32 a batch
+# rebuilds its tables but not their guides
+@lru_cache(maxsize=256)
 def _hazard_guide(alpha: float, d: float, m: int) -> tuple[float, np.ndarray]:
     """Guide table (Chen and Asau 1974; Devroye 1986, III.2.4) that inverts
     `_hazard_table(alpha, d, m)`: returns (scale, start).
@@ -104,11 +105,8 @@ def _hazard_guide(alpha: float, d: float, m: int) -> tuple[float, np.ndarray]:
 def _near_hits(alpha: float, d: float, m: int, target: np.ndarray) -> np.ndarray:
     """np.searchsorted(_hazard_table(alpha, d, m), target, side="right")
     through the guide: one comparison per target in an uncrowded bucket, one
-    `searchsorted` over the rest.  Below _GUIDE_MIN_TARGETS targets the plain
-    `searchsorted` is the faster, and no guide is built."""
+    `searchsorted` over the rest."""
     table = _hazard_table(alpha, d, m)
-    if target.size < _GUIDE_MIN_TARGETS:
-        return np.searchsorted(table, target, side="right")
     scale, start = _hazard_guide(alpha, d, m)
     # int16 keeps a guide at 8 KB, but numpy gathers fastest by intp; a
     # crowded bucket's -1 reads the last entry, and its rows are redone below
@@ -248,16 +246,17 @@ def _hit_events(
         rows = np.flatnonzero(remaining == m)
         if not rows.size:
             continue
+        table = _hazard_table(alpha, d, m)
         last = prev[rows]
         target = rng.standard_exponential(rows.size)
         target += _hazard(alpha, d, m, last)
         hit = _near_hits(alpha, d, m, target).astype(float)
         # beyond the table, the search takes targets relative to H_m(K); a
-        # row whose last hit left the float range stays there
+        # row whose last hit left the float range stays there.  Most stages
+        # of a light tail have no such row, and skip the search's set-up
         far = hit > _TABLE_STICKS
         if far.any():
-            relative = target[far] - _hazard_table(alpha, d, m)[-1]
-            hit[far] = _far_hit_sticks(alpha, d, m, last[far], relative)
+            hit[far] = _far_hit_sticks(alpha, d, m, last[far], target[far] - table[-1])
         taken = _hit_sizes(d, m, alpha + hit * d, rng) if m > 1 else 1
         slot = events[rows]
         at = rows * n + slot

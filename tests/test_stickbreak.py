@@ -291,19 +291,20 @@ class TestGuideLookup:
         entries=st.lists(st.integers(0, sb._TABLE_STICKS), max_size=40),
         edges=st.lists(st.integers(0, sb._GUIDE_BUCKETS + 1), max_size=40),
         past=st.lists(st.floats(0.0, 1e3), max_size=10),
+        draws=st.integers(0, 1024),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_lookup_is_searchsorted(self, config, m, entries, edges, past, seed):
+    def test_lookup_is_searchsorted(self, config, m, entries, edges, past, draws, seed):
         # the guide's first crossing is searchsorted's, at table entries,
-        # at bucket edges and the floats beside them, past H(K) and at inf,
-        # among Exp(1) targets past random sticks, enough to use the guide
+        # at bucket edges and the floats beside them, past H(K), at inf and
+        # among Exp(1) targets past random sticks
         alpha, d = config
         table = sb._hazard_table(alpha, d, m)
         scale, _ = sb._hazard_guide(alpha, d, m)
         edge = np.array(edges, dtype=float) / scale
         rng = np.random.default_rng(seed)
-        drawn = rng.standard_exponential(sb._GUIDE_MIN_TARGETS)
+        drawn = rng.standard_exponential(draws)
         drawn += table[rng.integers(0, 200, drawn.size)]
         targets = np.concatenate((
             table[entries],
@@ -323,7 +324,7 @@ class TestGuideLookup:
         sb._hazard_guide.cache_clear()
         for max_label in (60, 10**5, 10**12):
             truncated_label_mass(PYParams(1.0, 0.5), 6, max_label)
-        j = np.arange(4 * sb._GUIDE_MIN_TARGETS, dtype=float) * 97.0
+        j = np.arange(4096, dtype=float) * 97.0
         sb._hazard(0.3, 0.7, 4, j)
         assert sb._hazard_guide.cache_info().currsize == 0
 
