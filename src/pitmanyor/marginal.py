@@ -148,7 +148,9 @@ def beta_moment(a: float, b: float, c: float, e: float) -> float:
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta shapes must be positive, got a={a}, b={b}")
     if not (a + c > 0.0 and b + e > 0.0):
-        raise ValueError(f"moment orders must satisfy a+c > 0 and b+e > 0")
+        raise ValueError(
+            f"moment orders must satisfy a+c > 0 and b+e > 0, got a={a}, b={b}, c={c}, e={e}"
+        )
     return math.exp(
         log_gamma_ratio(a, c, 0.0)
         + log_gamma_ratio(b, e, 0.0)

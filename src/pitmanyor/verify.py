@@ -13,10 +13,15 @@ over every size profile of n <= 4 with one `marginal._lemma_b_truncated_sums`
 call per truncation, one step per sub-multiset of block sizes shared by all
 the profiles.  Each value is bit-identical to its scalar entry point.
 
-The beta-moment Monte Carlo check draws its four configs' seeded streams
-concurrently on a thread pool (`Generator.beta` runs with the GIL
-released).  Each record depends only on its own stream, so the records do
-not depend on scheduling or on the number of workers.
+The beta-moment Monte Carlo check draws each Beta(a, b) variate as the
+gamma ratio G_a / (G_a + G_b) (Devroye 1986, IX.4), G_a and G_b from two
+streams spawned from the config's seed.  `Generator.beta` takes that ratio
+itself unless both shapes are <= 1; there it runs Johnk's rejection, about
+four uniforms and four `pow` calls a variate, and at (1, 1) it takes about
+seven times as long as the two `standard_gamma` fills.  The four configs
+run concurrently on a thread pool (`Generator.standard_gamma` runs with the
+GIL released).  Each record depends only on its config's two streams, so
+the records do not depend on scheduling or on the number of workers.
 
 The label-sum bridge ("lemma_b_bridge_at_60") rebuilds partition
 probabilities from the label sum truncated at 60.  A rebuilt value is the
@@ -83,8 +88,9 @@ BETA_MOMENT_CONFIGS = (
     (0.5, 1.5, 1.0, 0.0),
     (0.3, 2.7, 2.0, 1.0),
 )
-# draws per `rng.beta` call in the beta-moment Monte Carlo check: chunks of
-# 2^13 to 2^16 take the same time, and the smallest keeps peak memory lowest
+# draws per `standard_gamma` call in the beta-moment Monte Carlo check:
+# chunks of 2^13 to 2^17 take the same time on the pool, and the smallest
+# keeps peak memory lowest
 _CHUNK = 1 << 13
 
 
@@ -106,7 +112,8 @@ def _configs(alpha, d, defaults):
 
 
 def _check_trials(trials: int) -> None:
-    # the Monte Carlo checks scale by 1/trials and take a ddof=1 spread
+    # the Monte Carlo checks scale their bounds by 1/sqrt(trials); one trial
+    # tests no law
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
 
@@ -453,37 +460,49 @@ def check_beta_moment_exact(**_):
     ]
 
 
-def _beta_moment_stats(config, rng, values):
-    """Mean and sample standard deviation of y^c (1 - y)^e over `values.size`
-    Beta(a, b) draws from `rng`, computed in `values`.
+def _beta_draws(a, b, rng_a, rng_b, size):
+    """`size` Beta(a, b) variates G_a / (G_a + G_b), G_a ~ Gamma(a) from
+    `rng_a` and G_b ~ Gamma(b) from `rng_b`, divided in place."""
+    y = rng_a.standard_gamma(a, size)
+    total = rng_b.standard_gamma(b, size)
+    total += y
+    y /= total
+    return y
 
-    `Generator.beta` fills in order, so each chunk holds exactly what one
-    call for all the draws would return there.  The reductions are the ones
-    `mean()` and `std(ddof=1)` make on a contiguous 1-D array, in place.
+
+def _beta_moment_mean(config, rngs, values):
+    """Mean of y^c (1 - y)^e over `values.size` Beta(a, b) draws from the
+    stream pair `rngs`, computed in `values`.
+
+    `Generator.standard_gamma` fills in order, so each chunk holds exactly
+    what one call per stream for all the draws would return there.  The
+    reduction is the one `mean()` makes on a contiguous 1-D array.
     """
-    # draws with `rng.beta` itself, so no traced package function runs off the main thread
+    # draws through a private helper straight to numpy's generators, so no
+    # traced (public) package function runs off the main thread
     a, b, c, e = config
     trials = values.size
     for start in range(0, trials, _CHUNK):
         # y^c (1-y)^e in place, with one work array for (1-y)^e; `**=` takes
         # the same scalar-exponent paths as `**`, so no value moves
-        y = rng.beta(a, b, min(_CHUNK, trials - start))
+        y = _beta_draws(a, b, *rngs, min(_CHUNK, trials - start))
         work = 1.0 - y
         work **= e
         y **= c
         np.multiply(y, work, out=values[start : start + y.size])
-    emp = np.add.reduce(values) / trials
-    values -= emp
-    values *= values
-    return float(emp), np.sqrt(np.add.reduce(values) / (trials - 1))
+    return float(np.add.reduce(values) / trials)
 
 
 def check_beta_moment_mc(trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED, **_):
-    """The beta-moment lemma E[V^c (1 - V)^e] by Monte Carlo, one seeded
-    stream per config, the four streams drawn concurrently on a thread pool.
+    """The beta-moment lemma E[V^c (1 - V)^e] by Monte Carlo, two seeded
+    streams per config (one per gamma of the ratio), the four configs drawn
+    concurrently on a thread pool.
 
-    Each record depends only on its config's stream, not on scheduling or
-    the number of workers.
+    Each record depends only on its config's streams, not on scheduling or
+    the number of workers.  The bound is `MC_SIGMA` standard errors of the
+    mean, taken from the law, sqrt((E[V^2c (1 - V)^2e] - E[V^c (1 - V)^e]^2)
+    / trials), and not from the sample's spread, which at a few trials is
+    often far too small.
     """
     _check_trials(trials)
     # imported here: a module-level import would load the pool module into
@@ -491,7 +510,7 @@ def check_beta_moment_mc(trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED
     from concurrent.futures import ThreadPoolExecutor
 
     rngs = [
-        np.random.default_rng(np.random.SeedSequence([seed, 11, idx]))
+        [np.random.default_rng(s) for s in np.random.SeedSequence([seed, 11, idx]).spawn(2)]
         for idx in range(len(BETA_MOMENT_CONFIGS))
     ]
     workers = min(_usable_cpus(), len(BETA_MOMENT_CONFIGS))
@@ -500,11 +519,11 @@ def check_beta_moment_mc(trials=constants.TV_TRIALS, seed=constants.DEFAULT_SEED
         # the calling thread: glibc gives every pool thread its own heap and
         # keeps freed arrays of this size resident there
         arrays = (np.empty(trials) for _ in BETA_MOMENT_CONFIGS)
-        stats = list(pool.map(_beta_moment_stats, BETA_MOMENT_CONFIGS, rngs, arrays))
+        means = list(pool.map(_beta_moment_mean, BETA_MOMENT_CONFIGS, rngs, arrays))
     out = []
-    for (a, b, c, e), (emp, std) in zip(BETA_MOMENT_CONFIGS, stats):
-        se = float(std / math.sqrt(trials))
+    for (a, b, c, e), emp in zip(BETA_MOMENT_CONFIGS, means):
         want = beta_moment(a, b, c, e)
+        se = math.sqrt((beta_moment(a, b, 2.0 * c, 2.0 * e) - want * want) / trials)
         bound = constants.MC_SIGMA * se
         out.append(
             _record(

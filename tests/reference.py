@@ -31,9 +31,11 @@ axis 0), which the package's row-at-a-time kernels replaced; the tests pin
 those kernels to them bit for bit, the first two on the same random stream.
 
 `check_beta_moment_mc` is the serial beta-moment Monte Carlo check that the
-package's thread-pool check replaced: one `rng.beta` draw of all the
-trials per config, then `mean()` and `std(ddof=1)`.  The tests pin the
-threaded check's records to it byte for byte.
+package's thread-pool check replaced: per config, one `standard_gamma` draw
+of all the trials from each of two spawned streams, their ratio
+G_a / (G_a + G_b), then `mean()`, with the standard error taken from the
+law.  The tests pin the threaded, chunked check's records to it byte for
+byte.
 """
 
 import math
@@ -346,19 +348,20 @@ def hazard_table(alpha: float, d: float, m: int) -> np.ndarray:
 
 def check_beta_moment_mc(trials: int, seed: int) -> list[dict]:
     """`verify.check_beta_moment_mc` run one config after another, each
-    config's draws made by one `rng.beta` call."""
+    config's gammas drawn by one `standard_gamma` call per stream."""
     out = []
     for idx, (a, b, c, e) in enumerate(BETA_MOMENT_CONFIGS):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 11, idx]))
-        values = rng.beta(a, b, trials)
+        rng_a, rng_b = map(np.random.default_rng, np.random.SeedSequence([seed, 11, idx]).spawn(2))
+        g_a = rng_a.standard_gamma(a, trials)
+        values = g_a / (g_a + rng_b.standard_gamma(b, trials))
         work = 1.0 - values
         work **= e
         values **= c
         values *= work
         del work
         emp = float(values.mean())
-        se = float(values.std(ddof=1) / math.sqrt(trials))
         want = beta_moment(a, b, c, e)
+        se = math.sqrt((beta_moment(a, b, 2.0 * c, 2.0 * e) - want * want) / trials)
         bound = constants.MC_SIGMA * se
         out.append(
             _record(

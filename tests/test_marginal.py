@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -233,6 +234,17 @@ class TestBetaMoment:
             beta_moment(-1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             beta_moment(1.0, 1.0, -2.0, 0.0)
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)])
+    def test_shape_error_names_the_shapes(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(f"beta shapes must be positive, got a={a}, b={b}")):
+            beta_moment(a, b, 1.0, 0.0)
+
+    @pytest.mark.parametrize("c, e", [(-2.0, 0.0), (0.0, -1.5), (math.nan, 0.0), (0.0, math.nan)])
+    def test_order_error_names_the_shapes_and_orders(self, c, e):
+        message = f"a+c > 0 and b+e > 0, got a=1.0, b=1.5, c={c}, e={e}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            beta_moment(1.0, 1.5, c, e)
 
 
 class TestUrnPermutationIdentity:

@@ -3,8 +3,10 @@ import json
 import threading
 from functools import partial
 
+import numpy as np
 import pytest
 import reference
+from scipy import stats
 
 from pitmanyor import verify
 from pitmanyor.constants import DEFAULT_SEED, TOL_TRUNCATED
@@ -26,13 +28,15 @@ IDENTITY_CHECKS = (
 )
 
 # sha256 of their records at DEFAULT_SEED, as sorted-key JSON, recorded with
-# the scalar allocation loop and the sub-multiset label sums (x86-64 Linux, numpy 2.4)
-IDENTITY_RECORDS_SHA256 = "1534ff979491fcd85ff99b0398eaae485a5fe30225314c238becbcf7b84d1ce1"
+# the scalar allocation loop, the sub-multiset label sums and lemma E's
+# gamma-ratio draws with the law's standard error (x86-64 Linux, numpy 2.4)
+IDENTITY_RECORDS_SHA256 = "d573bd029eb3b6bd46132dbc28a34b95793b1a82ce0f539209bdb56556fa9380"
 
 # sha256 of the whole `run_suite("all", trials=20_000)` report at DEFAULT_SEED,
 # as sorted-key JSON: 70 records, the sampler TV, determinism and lemma E
-# records among them (x86-64 Linux, numpy 2.4)
-ALL_SUITE_SHA256 = "cc7786c116ae3ebc47fd3034d73efb0b16e14b39350634f10fb5aa9b7ff351b8"
+# records among them, lemma E's from gamma-ratio draws with the law's
+# standard error (x86-64 Linux, numpy 2.4)
+ALL_SUITE_SHA256 = "06a36e1e909c30f3a07265d54f493c3b952e07cfd08068c81c6d26509b4893d2"
 
 
 def names(report):
@@ -196,6 +200,29 @@ class TestBetaMomentMonteCarlo:
     def test_rejects_fewer_than_two_trials(self, trials):
         with pytest.raises(ValueError, match=f"trials must be >= 2, got {trials}"):
             verify.check_beta_moment_mc(trials=trials)
+
+    def test_few_trials_rarely_fail(self):
+        # with the law's standard error a correct sampler fails about as
+        # often as the ledger budgets (under 1%); with the sample standard
+        # deviation of 10 draws, often far too small, 49 of these seeds fail
+        failing = [
+            seed
+            for seed in range(200)
+            if not all(r["passed"] for r in verify.check_beta_moment_mc(trials=10, seed=seed))
+        ]
+        assert len(failing) <= 4, failing
+
+    # The moment check cannot tell Beta(a, b) from Beta(b, a) at (2, 3, 1, 1),
+    # where E[y (1 - y)] is symmetric in the shapes, so the draws are tested
+    # in law: a KS test of the first 2e5 variates of the check's own streams
+    # at DEFAULT_SEED, which a correct sampler fails with probability 1e-3
+    # per config at a random seed.
+    @pytest.mark.parametrize("idx", range(len(verify.BETA_MOMENT_CONFIGS)))
+    def test_draws_follow_the_beta_law(self, idx):
+        a, b, _, _ = verify.BETA_MOMENT_CONFIGS[idx]
+        seeds = np.random.SeedSequence([DEFAULT_SEED, 11, idx]).spawn(2)
+        draws = verify._beta_draws(a, b, *map(np.random.default_rng, seeds), 200_000)
+        assert stats.kstest(draws, stats.beta(a, b).cdf).pvalue > 1e-3
 
 
 class TestSamplerLawTv:
