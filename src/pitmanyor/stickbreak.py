@@ -19,6 +19,14 @@ and each row is permuted once at the end.  A row takes at most n hit events,
 whatever the tail, so there is no truncation level and no stick cap.  The
 scalar `stickbreak_sample_partition` is a one-row call of this engine.
 
+The partition is which observations share a stick, not the sticks' indices:
+a hit stick J reaches it only through the hit size's b = alpha + J d and the
+next search's start H_m(J).  So partition mode searches for J only while
+m >= 2 observations are unplaced and d > 0.  At m = 1 the last observation
+opens a block of size 1, and at d = 0 (the Dirichlet case) b = alpha
+whatever J is.  A skipped search still draws its Exp(1) target, so both
+modes draw one stream.
+
 Every variate comes from numpy's ``Generator``, so a seed maps to one stream
 whatever optional packages are importable.
 """
@@ -231,6 +239,12 @@ def _hit_events(
     row * n + ordinal.  Returns float64 labels: the hit sticks J
     (full_labels, inf past the float range) or the hits' ordinals, which
     give the same partition.
+
+    Without full_labels no J is searched for where it cannot change the
+    partition: at m = 1, whose hit takes the last observation, and at every
+    stage at d = 0, where the hit size's b = alpha + J d is alpha.  Such a
+    stage still draws its targets, so both modes leave the generator in one
+    state, and row for row they give the same partition.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -246,25 +260,32 @@ def _hit_events(
         rows = np.flatnonzero(remaining == m)
         if not rows.size:
             continue
-        table = _hazard_table(alpha, d, m)
-        last = prev[rows]
         target = rng.standard_exponential(rows.size)
-        target += _hazard(alpha, d, m, last)
-        hit = _near_hits(alpha, d, m, target).astype(float)
-        # beyond the table, the search takes targets relative to H_m(K); a
-        # row whose last hit left the float range stays there.  Most stages
-        # of a light tail have no such row, and skip the search's set-up
-        far = hit > _TABLE_STICKS
-        if far.any():
-            hit[far] = _far_hit_sticks(alpha, d, m, last[far], target[far] - table[-1])
-        taken = _hit_sizes(d, m, alpha + hit * d, rng) if m > 1 else 1
+        # a partition sees J only through b = alpha + J d and the next
+        # stage's start, so it skips the search at m = 1 and at d = 0
+        if full_labels or (m > 1 and d > 0):
+            table = _hazard_table(alpha, d, m)
+            last = prev[rows]
+            target += _hazard(alpha, d, m, last)
+            hit = _near_hits(alpha, d, m, target).astype(float)
+            # beyond the table, the search takes targets relative to H_m(K); a
+            # row whose last hit left the float range stays there.  Most stages
+            # of a light tail have no such row, and skip the search's set-up
+            far = hit > _TABLE_STICKS
+            if far.any():
+                hit[far] = _far_hit_sticks(alpha, d, m, last[far], target[far] - table[-1])
+            prev[rows] = hit
+        taken = 1
+        if m > 1:
+            # at d = 0, b = alpha even for a hit at inf, where inf * 0 is NaN
+            b = alpha + hit * d if d > 0 else np.full(rows.size, alpha)
+            taken = _hit_sizes(d, m, b, rng)
         slot = events[rows]
         at = rows * n + slot
         labels[at] = hit if full_labels else slot + 1
         sizes[at] = taken
         events[rows] += 1
         remaining[rows] -= taken
-        prev[rows] = hit
     z = np.repeat(labels, sizes).reshape(trials, n)
     return rng.permuted(z, axis=1, out=z)
 
@@ -314,7 +335,11 @@ def sample_partition_labels_batch(
     The same engine as sample_allocations_batch, but each hit is labelled by
     its ordinal within the row, so no label can overflow however far the hit
     stick lies (at d = 0.9 most of the tail is beyond 2^53).  Only the
-    equality pattern of the returned labels is meaningful.
+    equality pattern of the returned labels is meaningful.  Since the
+    partition depends on a hit stick only through the next hit's size, the
+    engine skips the stick search for each row's last observation and, at
+    d = 0, for every hit; the generator ends in the state
+    sample_allocations_batch leaves, and each row gives the same partition.
     """
     return _hit_events(params, n, trials, rng, False).astype(np.int64)
 

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import pitmanyor.stickbreak as sb
 import reference
 from pitmanyor.constants import MC_SIGMA
-from pitmanyor.core import Partition, PYParams, partition_from_allocations
+from pitmanyor.core import Partition, PYParams, _table_index, partition_from_allocations
 from pitmanyor.marginal import _allocation_log_probs, truncated_label_mass
 from pitmanyor.stickbreak import (
     sample_allocations_batch,
@@ -274,6 +274,16 @@ class TestHitEventEngine:
         with pytest.raises(OverflowError, match="passed 2\\^53"):
             sample_allocations_batch(params, 10, 2000, np.random.default_rng(13))
 
+    def test_dirichlet_hit_past_the_float_range(self):
+        # at (1e300, 0) a far search squares past the float range, and the
+        # hit size's b = alpha + inf * 0 was NaN and warned: partition mode
+        # now searches no stick at d = 0, and full labels take b = alpha
+        params = PYParams(1e300, 0.0)
+        z = sample_partition_labels_batch(params, 10, 100, np.random.default_rng(14))
+        assert (np.sort(z, axis=1) == np.arange(1, 11)).all()
+        with pytest.raises(OverflowError, match="passed 2\\^53"):
+            sample_allocations_batch(params, 10, 100, np.random.default_rng(14))
+
 
 # hazard tables of every shape the guide meets: at d = 0 H(K) lies far past
 # the guide's span, at (1e6, 0.5) it is near 0, (0, 1e-25) ends at inf after
@@ -371,6 +381,51 @@ class TestPartitionModeBatch:
             monkeypatch.undo()
             importlib.reload(sb)
         assert (got == want).all()
+
+    @given(
+        config=st.sampled_from(
+            [(1.0, 0.0), (40.0, 0.0), (1.0, 1e-30), (-0.3, 0.5), (-0.9, 0.95), (0.3, 0.7)]
+        ),
+        n=st.integers(1, 8),
+        trials=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_partition_of_full_labels(self, config, n, trials, seed):
+        # partition mode skips the stick searches that cannot change the
+        # partition, so at one seed both modes give one partition per row
+        # and draw one stream
+        params = PYParams(*config)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        part = sample_partition_labels_batch(params, n, trials, rng)
+        try:
+            full = sample_allocations_batch(params, n, trials, twin)
+        except OverflowError:
+            return
+        assert (_table_index(part) == _table_index(full)).all()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "alpha, d, sampler",
+        [(1.0, 0.5, sample_partition_labels_batch), (0.3, 0.7, sample_partition_labels_batch),
+         (1.0, 0.0, sample_partition_labels_batch), (1.0, 0.5, sample_allocations_batch)],
+    )
+    def test_partition_mode_skips_the_search(self, monkeypatch, alpha, d, sampler):
+        # spy on every stage's search, keyed by its unplaced count m
+        stages = {name: set() for name in ("_hazard", "_near_hits", "_far_hit_sticks")}
+        for name, seen in stages.items():
+            def spy(alpha, d, m, *args, _real=getattr(sb, name), _seen=seen):
+                _seen.add(m)
+                return _real(alpha, d, m, *args)
+            monkeypatch.setattr(sb, name, spy)
+        sampler(PYParams(alpha, d), 4, 32768, np.random.default_rng(15))
+        if sampler is sample_allocations_batch:
+            # full labels search for every hit, the last observation's too
+            assert all(1 in seen for seen in stages.values())
+        elif d == 0.0:
+            assert not any(stages.values())
+        else:
+            assert stages["_near_hits"] and not any(1 in seen for seen in stages.values())
 
 
 class TestStickbreakPartition:
