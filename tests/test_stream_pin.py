@@ -8,7 +8,10 @@ are explicit at n = 4 and sha256 digests at n = 8.  At (1, 0.5) hardly any
 hit lies past the stick engine's hazard table, so its label matrices are also
 pinned at heavy discounts and large alpha, where most rows search the closed
 form beyond it, and at configs whose hits the table search resolves: a light
-discount, d = 0 and a table that ends at inf after its first stick.
+discount, d = 0 and a table that ends at inf after its first stick.  The
+engine's own output is pinned with the generator's end state: full labels at
+a discount where some hits lie at inf, partition labels at n = 30, and runs of
+one-row calls.
 """
 
 import hashlib
@@ -20,7 +23,11 @@ import pytest
 from pitmanyor.core import PYParams
 from pitmanyor.crp import sample_label_matrix
 from pitmanyor.harness import run_monte_carlo, sample_partitions
-from pitmanyor.stickbreak import sample_allocations_batch, sample_partition_labels_batch
+from pitmanyor.stickbreak import (
+    _hit_events,
+    sample_allocations_batch,
+    sample_partition_labels_batch,
+)
 from reference import restricted_growth
 
 PARAMS = PYParams(1.0, 0.5)
@@ -104,11 +111,56 @@ TABLE_LABELS_SHA = {
     (0.0, 1e-25): "2f62433dd2ecff86dd7467f366e03ffeec31771926ffbb4f38ee86fc72734ab5",
 }
 
+# sha256 of the little-endian bytes of a stick-engine label matrix (the
+# engine's float64 hit sticks in full-label mode, sample_partition_labels_batch's
+# int64 labels otherwise) and of the generator's end state (sorted-key JSON),
+# by (label mode, alpha, d, n, rows), at seed 1729; at d = 0.99, 145 of the
+# 2000 full-label rows hold an inf hit
+ENGINE_SHA = {
+    ("full", 1.0, 0.99, 8, 2000): (
+        "cc888f510c50b349ff4faf1601c54fcb8a8a07a7388212b6390efacc43a6ba0f",
+        "b4827ce4d938d20de344df1c0e47e663247fddf51c648849ec22c60b89c654c6",
+    ),
+    ("partition", 1.0, 0.5, 30, 4096): (
+        "47fba621457de27fabb5dc6fe87f4d388adf7b61496f35d94d9c70b4959f7ed7",
+        "e50bce6cb553beced36a5dac558fd1fb2330d429cdb49abb857e759ed4ff0d51",
+    ),
+}
+
+# the same digests over 25 successive one-row engine calls at (1, 0.9) from
+# one generator at seed 1729, float64 in both modes, by (label mode, n)
+ONE_ROW_CALLS = 25
+ONE_ROW_SHA = {
+    ("partition", 4): (
+        "af3d90c7b30fa81dad85a8603176842cb7663ef0f7fc19af925c2f70419d0f2c",
+        "0b8b8d21b9ba784787f193e4bac3ddd09b3c8b5ca72218f8ba54b02e1cf67b94",
+    ),
+    ("full", 4): (
+        "e2e1fafdb972cbf121a0aec4ef3ec924a3913ec374bf4f82919a35bb86490d1e",
+        "0b8b8d21b9ba784787f193e4bac3ddd09b3c8b5ca72218f8ba54b02e1cf67b94",
+    ),
+    ("partition", 1): (
+        "61c7fc1f43f924112b59ebd82a7fa7f6fd7fea423d325fc6116e898f4dffde72",
+        "ca2df11ccb280a73f16adefae6dafc12d178bdc59f341ee551f94e71b71038a6",
+    ),
+    ("full", 1): (
+        "4b91e27ad1faf59c336a52695fb78c319633878f7e380a8116e48f29fb1ac936",
+        "ca2df11ccb280a73f16adefae6dafc12d178bdc59f341ee551f94e71b71038a6",
+    ),
+}
+
 ROUTES = [(sampler, seed) for sampler in ("stick", "crp") for seed in (1729, 42)]
 
 
 def growth_string(partition) -> str:
     return "".join(map(str, restricted_growth(partition)))
+
+
+def engine_digests(z, rng):
+    """sha256 of a label matrix's little-endian bytes and of the generator's state."""
+    raw = np.ascontiguousarray(z, dtype=z.dtype.newbyteorder("<")).tobytes()
+    state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
+    return hashlib.sha256(raw).hexdigest(), hashlib.sha256(state).hexdigest()
 
 
 def tally(sampler, n, seed, workers):
@@ -171,3 +223,23 @@ def test_table_search_label_matrices(alpha, d):
     assert z.shape == (LABEL_ROWS, 4)
     raw = np.ascontiguousarray(z, dtype="<i8").tobytes()
     assert hashlib.sha256(raw).hexdigest() == TABLE_LABELS_SHA[alpha, d]
+
+
+@pytest.mark.parametrize("case", list(ENGINE_SHA))
+def test_engine_output_and_end_state(case):
+    mode, alpha, d, n, rows = case
+    rng = np.random.default_rng(1729)
+    if mode == "full":
+        z = _hit_events(PYParams(alpha, d), n, rows, rng, True)
+    else:
+        z = sample_partition_labels_batch(PYParams(alpha, d), n, rows, rng)
+    assert z.shape == (rows, n)
+    assert engine_digests(z, rng) == ENGINE_SHA[case]
+
+
+@pytest.mark.parametrize("mode, n", list(ONE_ROW_SHA))
+def test_one_row_engine_calls(mode, n):
+    rng = np.random.default_rng(1729)
+    calls = [_hit_events(PYParams(1.0, 0.9), n, 1, rng, mode == "full")
+             for _ in range(ONE_ROW_CALLS)]
+    assert engine_digests(np.concatenate(calls), rng) == ONE_ROW_SHA[mode, n]
