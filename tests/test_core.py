@@ -224,6 +224,23 @@ class TestPartitionTable:
 # stick labels reach about 2^53; 2^53 + 1 and 2^53 would merge as floats
 HUGE = 2**53
 
+# label matrices of 1 to 4 rows at n = 1..MAX_NORMALIZATION_N, with small
+# labels and labels at the edge of float64's integers
+LABEL_ROWS = st.integers(min_value=1, max_value=MAX_NORMALIZATION_N).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=HUGE - 2, max_value=HUGE + 2),
+            ),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+
 
 def equality_pattern(z):
     z = np.asarray(z)
@@ -267,28 +284,27 @@ class TestTableIndex:
         index = _table_index(_growth_strings(n))
         assert index.tolist() == list(range(bell_numbers(n)[n]))
 
-    @given(
-        rows=st.integers(min_value=1, max_value=MAX_NORMALIZATION_N).flatmap(
-            lambda n: st.lists(
-                st.lists(
-                    st.one_of(
-                        st.integers(min_value=0, max_value=3),
-                        st.integers(min_value=HUGE - 2, max_value=HUGE + 2),
-                    ),
-                    min_size=n,
-                    max_size=n,
-                ),
-                min_size=1,
-                max_size=4,
-            )
-        )
-    )
+    @given(rows=LABEL_ROWS)
     @settings(max_examples=100, deadline=None)
     def test_row_has_the_equality_pattern_of_its_labels(self, rows):
         z = np.array(rows, dtype=np.int64)
         index = _table_index(z)
         growth = _growth_strings(z.shape[1])[index]
         assert (equality_pattern(growth) == equality_pattern(z)).all()
+
+    @given(rows=LABEL_ROWS)
+    @settings(max_examples=100, deadline=None)
+    def test_memory_layout_does_not_change_the_index(self, rows):
+        # the stick engine hands over the Fortran-ordered view z.T of an
+        # (n, rows) array
+        z = np.array(rows, dtype=np.int64)
+        padded = np.zeros((2 * z.shape[0], 2 * z.shape[1] + 1), dtype=np.int64)
+        padded[1::2, 1::2] = z
+        views = [np.asfortranarray(z), np.ascontiguousarray(z.T).T, padded[1::2, 1::2]]
+        expected = _table_index(z).tolist()
+        for view in views:
+            assert (view == z).all()
+            assert _table_index(view).tolist() == expected
 
 
 class TestLogRisingFactorial:
