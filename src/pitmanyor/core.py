@@ -291,6 +291,7 @@ def _table_index(z) -> np.ndarray:
     W(r, m) = m W(r-1, m) + W(r-1, m+1) completions of r more elements.
     Bell(25) < 2^63, so the index fits int64 up to n = 25.
     """
+    # no copy for a Fortran-ordered matrix, such as the stick engine returns
     cols = np.ascontiguousarray(np.asarray(z).T)
     n, rows = cols.shape
     w = np.ones((n, n + 1), dtype=np.int64)  # w[r, m] = W(r, m) wherever m + r < n

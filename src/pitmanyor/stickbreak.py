@@ -16,9 +16,9 @@ inverted on its cached table by a guide table of equal hazard buckets, which
 finds the crossing with one comparison for most rows.  Which
 observations a hit takes is uniform, so each hit takes the row's next
 unplaced columns, in hit order, and each row is permuted once at the end.
-The engine keeps its labels position-major, one contiguous row per column:
-a hit is written once, in its first column, and one forward fill down the
-columns carries it over the rest.  A row takes at most n hit events,
+The engine keeps its labels position-major, one contiguous array row per
+observation: a hit is written once, in its first column, and one fill
+forward carries it over the rest.  A row takes at most n hit events,
 whatever the tail, so there is no truncation level and no stick cap.  The
 scalar `stickbreak_sample_partition` is a one-row call of this engine.
 

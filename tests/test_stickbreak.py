@@ -150,6 +150,13 @@ class TestHitEventEngine:
             sampler(PYParams(1.0, 0.5), n, trials, np.random.default_rng(0))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("sampler", [sample_allocations_batch, sample_partition_labels_batch])
+    def test_batches_are_int64_in_column_major_order(self, sampler):
+        z = sampler(PYParams(1.0, 0.5), 4, 100, np.random.default_rng(0))
+        assert z.shape == (100, 4) and z.dtype == np.int64
+        assert z.flags.f_contiguous and not z.flags.c_contiguous
+        assert z.tobytes() == np.ascontiguousarray(z).tobytes()
+
     @pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (-0.3, 0.9), (1.0, 0.0)])
     @pytest.mark.parametrize("n", [2, 3])
     def test_labels_match_allocation_marginal(self, alpha, d, n):
