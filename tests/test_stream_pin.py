@@ -11,7 +11,9 @@ form beyond it, and at configs whose hits the table search resolves: a light
 discount, d = 0 and a table that ends at inf after its first stick.  The
 engine's own output is pinned with the generator's end state: full labels at
 a discount where some hits lie at inf, partition labels at n = 30, and runs of
-one-row calls.
+one-row calls.  The restaurant sampler's raw labels and end state are pinned
+the same way at n = 50 to 1000, where most rows hold far fewer blocks than
+observations.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from pitmanyor.core import PYParams
-from pitmanyor.crp import sample_label_matrix
+from pitmanyor.crp import _TILE, sample_label_matrix
 from pitmanyor.harness import run_monte_carlo, sample_partitions
 from pitmanyor.stickbreak import (
     _hit_events,
@@ -149,6 +151,35 @@ ONE_ROW_SHA = {
     ),
 }
 
+# the same digests of `sample_label_matrix` at seed 1729, by (alpha, d, n,
+# rows); the _TILE + 1 rows end on a one-column tile with few blocks
+RESTAURANT_SHA = {
+    (1.0, 0.5, 300, 256): (
+        "b9203037338e994bbaecc0df4d438a98198d6b9780137454f79cd9e2d661b10d",
+        "ae155b093548a64447191fcf21b7cd212e85b28ca16a07fff23664a325951a94",
+    ),
+    (1.0, 0.0, 1000, 64): (
+        "95984b37161a032326b53099a4b0e4fccb4d191017ccbe73b56ed942c5ce33f4",
+        "729b06bcc04cb0f60920a9e35dddde2f41dbdb05787b5d37ba71d54541dd9068",
+    ),
+    (0.3, 0.7, 1000, 64): (
+        "73f1a0149a9c7d2ec7a0943ce048f7815b4435654701124822be2b2d07fd1b90",
+        "729b06bcc04cb0f60920a9e35dddde2f41dbdb05787b5d37ba71d54541dd9068",
+    ),
+    (-0.3, 0.5, 200, 128): (
+        "6a0a6cb2c4d2c92a9501cca1b062b09378ee9b828d59a646e149d32a0ec48c92",
+        "eccc708628710c00ac732f8b0f357cfaeb8b70511c26dcb8edb12dd3974e7b97",
+    ),
+    (1.0, 0.9, 100, 512): (
+        "967590c220fe80edad388e55246916f77bf8ff8db5408a439392fc5a19423a77",
+        "625bdd826f8e407be3442ffc0a1378b2f6a419b5bdfec19063dd8ad18655319a",
+    ),
+    (0.3, 0.7, 50, _TILE + 1): (
+        "24f9bb3b0e6066a0ad58e510dd513af3c588c62b2082d0b3827a5e7528f6d161",
+        "45f82ec5794b060f53d98839dd7feaa6236c806121b62cc89e6cada4982a5a81",
+    ),
+}
+
 ROUTES = [(sampler, seed) for sampler in ("stick", "crp") for seed in (1729, 42)]
 
 
@@ -243,3 +274,12 @@ def test_one_row_engine_calls(mode, n):
     calls = [_hit_events(PYParams(1.0, 0.9), n, 1, rng, mode == "full")
              for _ in range(ONE_ROW_CALLS)]
     assert engine_digests(np.concatenate(calls), rng) == ONE_ROW_SHA[mode, n]
+
+
+@pytest.mark.parametrize("case", list(RESTAURANT_SHA))
+def test_restaurant_output_and_end_state(case):
+    alpha, d, n, rows = case
+    rng = np.random.default_rng(1729)
+    z = sample_label_matrix(PYParams(alpha, d), n, rows, rng)
+    assert z.shape == (rows, n)
+    assert engine_digests(z, rng) == RESTAURANT_SHA[case]
