@@ -3,7 +3,9 @@
 Observation i + 1 joins an open block of size s with probability
 (s - d) / (alpha + i), or opens block k + 1 with probability
 (alpha + k d) / (alpha + i).  `sample_label_matrix` seats every row of a
-batch step by step; the scalar `crp_sample_partition` is its one-row call.
+batch step by step, summing the weights of the open blocks only: a target
+past every open block's sum means a new block, so the new block's weight is
+never written.  The scalar `crp_sample_partition` is its one-row call.
 `sequential_log_prob` multiplies the same one-step probabilities along a
 given partition, and the sequential-product identity test pins that product
 to the exact law.
@@ -23,7 +25,8 @@ __all__ = [
 
 # columns `sample_label_matrix` seats together: up to n = 10 or so, a tile's
 # weights, sizes, labels and row temporaries stay in a 2 MB L2 cache through
-# all of its steps
+# all of its steps, and a step reads only the weight rows of the tile's open
+# blocks
 _TILE = 4096
 
 
@@ -111,8 +114,9 @@ def sample_label_matrix(
     of rng.random(trials) would return.  Trials are then seated tile-major,
     in column tiles of _TILE: all n - 1 steps of one tile run before the
     next tile starts, so the tile's state stays in cache from step to step.
-    `_seat_tile` seats one tile on contiguous rows of the tile's width.
-    The result is a transposed view.
+    `_seat_tile` seats one tile on contiguous rows of the tile's width, and
+    a step sums only the tile's open blocks, so a tile costs O(n K), K its
+    largest block count, not O(n^2).  The result is a transposed view.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -129,13 +133,18 @@ def _seat_tile(alpha: float, d: float, uniforms: np.ndarray, labels: np.ndarray)
     """Seat one tile of trials: fill rows 1.. of the (n, width) label view
     from the (n - 1, width) uniforms.
 
-    The seating weight of each row (s - d for an open block of size s,
-    alpha + k d for the new-block row, 0 past it) is state updated in place:
-    only the new-block row and each column's chosen row change per step.
+    The seating weight of each row (s - d for an open block of size s, 0
+    past a column's k open blocks) is state updated in place: only each
+    column's chosen row changes per step, to 1 - d when it opens a block.
     The running sum of the weights is taken one row at a time, never with an
     accumulate along axis 0, adding in block order as the per-draw loop
-    does, and the choice counts the rows whose running sum is still below
-    the target.
+    does, over rows 0..K - 1 only, K the tile's largest k; the choice counts
+    the rows whose running sum is still below the target.  The new block's
+    weight alpha + k d is never needed: a column's sums never decrease, and
+    its rows from k on repeat its last open block's sum, so if that sum is
+    below the target every row counts and the clamp to k picks the new
+    block, as it would with the new-block row summed; otherwise no row from
+    k on counts.
     """
     n, width = labels.shape
     # block sizes and seating weights; the gathers and scatters take flat
@@ -148,15 +157,14 @@ def _seat_tile(alpha: float, d: float, uniforms: np.ndarray, labels: np.ndarray)
     k = np.ones(width, dtype=np.int64)
     cols = np.arange(width)
     for i in range(1, n):
-        flat_w[k * width + cols] = alpha + k * d
         target = uniforms[i - 1] * (alpha + i)
         run = w[0].copy()
         choice = labels[i]
         choice[:] = run < target
-        for r in range(1, i + 1):
+        for r in range(1, int(k.max())):
             run += w[r]
             choice += run < target
-        np.minimum(choice, k, out=choice)  # guard against rounding past the new-block row
+        np.minimum(choice, k, out=choice)  # every open block's sum below the target: a new block
         seat = choice * width + cols
         seated = counts[seat] + 1.0
         counts[seat] = seated

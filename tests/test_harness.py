@@ -248,16 +248,28 @@ def closed_form_mean_blocks(alpha, d, n):
     return (alpha + d) / d * rising - alpha / d
 
 
-@pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (1.0, 0.0)])
-@pytest.mark.parametrize("sampler", list(SAMPLERS))
-def test_batch_samplers_block_count_mean_at_n100(sampler, alpha, d):
+def assert_block_count_mean(sampler, alpha, d, n, rows):
     # the stick route labels blocks by ordinal from 1, the restaurant route
     # from 0, so a row's block count is its largest label (+ 1)
-    n, rows = 100, 1024
     z = SAMPLERS[sampler](PYParams(alpha, d), n, rows, np.random.default_rng(5))
     blocks = z.max(axis=1) + (sampler == "crp")
     se = blocks.std(ddof=1) / math.sqrt(rows)
     assert abs(blocks.mean() - closed_form_mean_blocks(alpha, d, n)) <= MC_SIGMA * se
+
+
+BLOCK_COUNT_CONFIGS = pytest.mark.parametrize("alpha, d", [(1.0, 0.5), (0.3, 0.7), (1.0, 0.0)])
+
+
+@BLOCK_COUNT_CONFIGS
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
+def test_batch_samplers_block_count_mean_at_n100(sampler, alpha, d):
+    assert_block_count_mean(sampler, alpha, d, 100, 1024)
+
+
+# the restaurant route only: the stick route takes seconds per 256 rows here
+@BLOCK_COUNT_CONFIGS
+def test_restaurant_block_count_mean_at_n1000(alpha, d):
+    assert_block_count_mean("crp", alpha, d, 1000, 256)
 
 
 def exact_mean_blocks(alpha, d, n_values):

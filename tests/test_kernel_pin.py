@@ -8,7 +8,10 @@ hardly ever show a sum that is one ulp off, so the uniforms are handed out as
 `LoggedUniforms`, which log every array they are compared with or scaled by:
 the running sums themselves, in the order the kernel takes them.  The
 restaurant kernel seats its columns in tiles of `crp._TILE`, all steps of a
-tile before the next, so the reference's sums are compared tile by tile.
+tile before the next, and at each step sums only as many rows as the tile
+has open blocks at most, adding 0 past a column's own; so the reference's
+sums are compared tile by tile, cut to those rows, with each column's rows
+past its open blocks holding its last open block's sum.
 `stickbreak._hazard_table` subtracts its per-stick log1p rows one at a time
 from one array, where the reference sums them as one matrix over axis 0.
 """
@@ -79,23 +82,35 @@ class LoggingGenerator:
         return b"".join(x.tobytes() for x in self.log)
 
 
-def assert_same_draws(kernel, ref, *args, seed, regroup=lambda log: log):
-    """`regroup` puts the reference's logged arrays in the kernel's order."""
+def assert_same_draws(kernel, ref, *args, seed, regroup=lambda log, out: log):
+    """`regroup` puts the reference's logged arrays in the kernel's order; it
+    also gets the reference's output."""
     rng, ref_rng = LoggingGenerator(seed), LoggingGenerator(seed)
     got, want = kernel(*args, rng), ref(*args, ref_rng)
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
-    assert rng.logged_bytes() == b"".join(x.tobytes() for x in regroup(ref_rng.log))
+    assert rng.logged_bytes() == b"".join(x.tobytes() for x in regroup(ref_rng.log, want))
 
 
-def tile_major(log):
-    """The reference's running sums, one (i + 1, trials) array per step, cut
-    into the column tiles of `crp._TILE`, tile by tile and step by step
-    within a tile, as `crp.sample_label_matrix` takes them."""
-    trials = log[0].shape[1] if log else 0
-    return [step[:, lo:lo + crp._TILE] for lo in range(0, trials, crp._TILE) for step in log]
+def tile_major(log, labels):
+    """The reference's running sums, one (i + 1, trials) array per step, as
+    `crp.sample_label_matrix` takes them: tile by tile in the column tiles of
+    `crp._TILE`, step by step within a tile, and at each step only rows
+    0..K - 1, K the tile's largest block count k before the step.  A column
+    adds weight 0 past its own open blocks, so its rows from k on hold its
+    row k - 1 sum there.  k is one more than the running maximum of the
+    reference's labels."""
+    trials, n = labels.shape
+    opened = 1 + np.maximum.accumulate(labels, axis=1)[:, :-1].T
+    tiles = []
+    for lo in range(0, trials, crp._TILE):
+        cols = np.arange(lo, min(lo + crp._TILE, trials))
+        for step, k in zip(log, opened[:, cols]):
+            rows = np.minimum(np.arange(k.max())[:, None], k - 1)
+            tiles.append(step[rows, cols])
+    return tiles
 
 
 def assert_same_seating(params, n, trials, seed):
